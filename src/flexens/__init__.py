@@ -16,10 +16,10 @@ from .calibration import (
     calibrate,
     evaluate_objective,
     load_schedule,
-    relative_error_increase,
     save_schedule,
 )
 from .cascade_engine import (
+    CascadeRun,
     CascadeTrace,
     StageTables,
     ThresholdSchedule,
@@ -44,7 +44,9 @@ from .metrics_report import (
     ensemble_size_sweep,
     flexible_sweep,
     margin_histogram,
+    relative_error_increase,
     report,
+    score,
     write_histogram_csv,
     write_sweep_csv,
 )
@@ -62,6 +64,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AveragedLogits",
     "CalibrationObjective",
+    "CascadeRun",
     "CascadeTrace",
     "DatasetManifest",
     "DEFAULT_ALPHA",
@@ -99,6 +102,7 @@ __all__ = [
     "run_sample",
     "save_dataset",
     "save_schedule",
+    "score",
     "score_margin",
     "softmax",
     "stage_tables",

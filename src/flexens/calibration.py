@@ -24,9 +24,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .cascade_engine import StageTables, ThresholdSchedule, _models_used, stage_tables
+from .cascade_engine import ThresholdSchedule, _models_used, run_dataset, stage_tables
 from .dataset_io import EnsembleDataset
 from .errors import MalformedScheduleError
+# relative_error_increase is re-exported from here for existing callers
+from .metrics_report import EvaluationReport, relative_error_increase, score  # noqa: F401
 
 DEFAULT_ALPHA = 0.5
 DEFAULT_GRID_STEP = 0.01
@@ -60,35 +62,9 @@ class CalibrationObjective:
     value: float  # alpha * latency_ratio + (1 - alpha) * error_increase
 
 
-def relative_error_increase(flexible_error: float, full_error: float) -> float:
-    """(err_flex - err_full) / err_full, falling back to the absolute flexible
-    error when the baseline error is zero (possible on tiny fixtures)."""
-    if full_error == 0.0:
-        return flexible_error
-    return (flexible_error - full_error) / full_error
-
-
-def _error_rate(predictions: np.ndarray, labels: np.ndarray) -> float:
-    return np.count_nonzero(predictions != labels) / labels.size
-
-
-def _objective_terms(
-    tables: StageTables,
-    used: np.ndarray,
-    labels: np.ndarray,
-    alpha: float,
-    full_error: float,
-) -> tuple[float, float, float]:
-    num_samples = labels.size
-    counts = np.bincount(used, minlength=tables.num_models + 1)[1:]
-    gated_cost_total = float(counts @ tables.cum_costs_ms)
-    full_cost_total = num_samples * float(tables.cum_costs_ms[-1])
-    latency_ratio = gated_cost_total / full_cost_total
-
-    exit_predictions = tables.predictions[used - 1, np.arange(num_samples)]
-    error_increase = relative_error_increase(_error_rate(exit_predictions, labels), full_error)
-    value = alpha * latency_ratio + (1.0 - alpha) * error_increase
-    return latency_ratio, error_increase, value
+def _objective(alpha: float, rep: EvaluationReport) -> CalibrationObjective:
+    value = alpha * rep.latency_ratio + (1.0 - alpha) * rep.error_increase
+    return CalibrationObjective(alpha, rep.latency_ratio, rep.error_increase, value)
 
 
 def _check_alpha(alpha: float) -> None:
@@ -101,16 +77,8 @@ def evaluate_objective(
 ) -> CalibrationObjective:
     """Run the cascade under `schedule` and score it against the full ensemble."""
     _check_alpha(alpha)
-    schedule.validate_for(dataset.num_models)
-    tables = stage_tables(dataset)
-    full_error = _error_rate(tables.predictions[-1], dataset.labels)
-    used = _models_used(tables.margins, np.asarray(schedule.thresholds, dtype=np.float64))
-    latency_ratio, error_increase, value = _objective_terms(
-        tables, used, dataset.labels, alpha, full_error
-    )
-    return CalibrationObjective(
-        alpha=alpha, latency_ratio=latency_ratio, error_increase=error_increase, value=value
-    )
+    run = run_dataset(dataset, schedule)
+    return _objective(alpha, score(run.tables, run.models_used, dataset.labels))
 
 
 def calibrate(
@@ -125,8 +93,6 @@ def calibrate(
         raise ValueError("calibration needs at least 2 models")
 
     tables = stage_tables(dataset)
-    labels = dataset.labels
-    full_error = _error_rate(tables.predictions[-1], labels)
     candidates = grid.values()
 
     chosen: list[float] = []
@@ -135,9 +101,8 @@ def calibrate(
         best_value = np.inf
         best_tau = candidates[0]
         for tau in candidates:
-            thresholds = np.array(chosen + [tau] + tail, dtype=np.float64)
-            used = _models_used(tables.margins, thresholds)
-            _, _, value = _objective_terms(tables, used, labels, alpha, full_error)
+            used = _models_used(tables.margins, chosen + [tau] + tail)
+            value = _objective(alpha, score(tables, used, dataset.labels)).value
             # strict < keeps the earliest (lowest) candidate on plateaus
             if value < best_value:
                 best_value = value

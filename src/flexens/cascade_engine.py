@@ -5,19 +5,22 @@ the first k logit vectors is softmaxed and its top-two margin compared
 against that stage's threshold: the cascade stops when margin >= threshold,
 otherwise the next model runs. After the last model no threshold is
 consulted. A threshold of 0 therefore always stops after one model, and a
-threshold of 1 never stops early (softmax margins stay strictly below 1 in
-the normal numeric range), which reproduces plain full-ensemble execution.
+threshold of 1 never stops, not even where a top-two logit gap beyond ~36
+rounds the margin to exactly 1.0, which reproduces full-ensemble execution.
 
 Because the per-stage margins and predictions of a sample do not depend on
 the threshold schedule, they are computed once per dataset as schedule
 independent "stage tables" and cached; running a schedule is then a cheap
 vectorized scan. run_sample and run_dataset share that arithmetic, so their
-results agree bit-for-bit.
+results agree bit-for-bit. run_dataset returns a columnar CascadeRun, whose
+run[i] builds sample i's CascadeTrace on demand; metrics_report.report takes
+only this result, not a hand-built list of traces.
 """
 
 from __future__ import annotations
 
 import weakref
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,6 +84,7 @@ class StageTables:
 
     margins: np.ndarray  # (num_models, num_samples) float64
     predictions: np.ndarray  # (num_models, num_samples) int64
+    wrong_counts: np.ndarray  # (num_models,) int64, predictions that miss the label
     cum_costs_ms: np.ndarray  # (num_models,) float64
 
     @property
@@ -90,6 +94,33 @@ class StageTables:
     @property
     def num_samples(self) -> int:
         return self.margins.shape[1]
+
+
+@dataclass(frozen=True, eq=False)
+class CascadeRun(Sequence):
+    """Columnar result of run_dataset: each sample's exit stage over the stage tables.
+
+    run[i] builds sample i's CascadeTrace on demand (a slice gives a list of
+    them); aggregate through models_used instead of iterating.
+    """
+
+    tables: StageTables
+    models_used: np.ndarray  # (num_samples,) int64, frozen
+
+    def __len__(self) -> int:
+        return self.models_used.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        sample = range(len(self))[index]
+        k = int(self.models_used[sample])
+        return CascadeTrace(
+            models_used=k,
+            margins=self.tables.margins[:k, sample].copy(),
+            prediction=int(self.tables.predictions[k - 1, sample]),
+            cost_ms=float(self.tables.cum_costs_ms[k - 1]),
+        )
 
 
 _TABLES_CACHE: "weakref.WeakKeyDictionary[EnsembleDataset, StageTables]" = (
@@ -116,20 +147,23 @@ def stage_tables(dataset: EnsembleDataset) -> StageTables:
     tables = _TABLES_CACHE.get(dataset)
     if tables is None:
         margins, predictions = _prefix_stage_stats(dataset.logits.astype(np.float64))
+        wrong = np.count_nonzero(predictions != dataset.labels, axis=1).astype(np.int64)
         cum_costs = np.cumsum(dataset.costs_ms, dtype=np.float64)
-        for arr in (margins, predictions, cum_costs):
+        for arr in (margins, predictions, wrong, cum_costs):
             arr.setflags(write=False)
-        tables = StageTables(margins=margins, predictions=predictions, cum_costs_ms=cum_costs)
+        tables = StageTables(margins, predictions, wrong, cum_costs)
         _TABLES_CACHE[dataset] = tables
     return tables
 
 
-def _models_used(margins: np.ndarray, thresholds: np.ndarray) -> np.ndarray:
+def _models_used(margins: np.ndarray, thresholds) -> np.ndarray:
     """First stage whose margin clears its threshold, else the full ensemble."""
     num_models = margins.shape[0]
-    if thresholds.size == 0:
+    if len(thresholds) == 0:
         return np.full(margins.shape[1], num_models, dtype=np.int64)
-    stop = margins[:-1, :] >= thresholds[:, None]
+    # 1.0 means never stop, even where a saturated margin rounds to exactly 1.0
+    stop_at = np.array([np.inf if t == 1.0 else t for t in thresholds], dtype=np.float64)
+    stop = margins[:-1, :] >= stop_at[:, None]
     stopped = stop.any(axis=0)
     first = stop.argmax(axis=0)
     return np.where(stopped, first + 1, num_models).astype(np.int64)
@@ -158,7 +192,7 @@ def run_sample(logits_per_model, schedule: ThresholdSchedule, costs_ms) -> Casca
     schedule.validate_for(num_models)
 
     margins, predictions = _prefix_stage_stats(logits[:, np.newaxis, :])
-    used = int(_models_used(margins, np.asarray(schedule.thresholds, dtype=np.float64))[0])
+    used = int(_models_used(margins, schedule.thresholds)[0])
     cum_costs = np.cumsum(costs, dtype=np.float64)
     return CascadeTrace(
         models_used=used,
@@ -168,24 +202,10 @@ def run_sample(logits_per_model, schedule: ThresholdSchedule, costs_ms) -> Casca
     )
 
 
-def run_dataset(dataset: EnsembleDataset, schedule: ThresholdSchedule) -> list[CascadeTrace]:
-    """Run the cascade on every sample; trace order follows sample order."""
+def run_dataset(dataset: EnsembleDataset, schedule: ThresholdSchedule) -> CascadeRun:
+    """Run the cascade on every sample; the result is indexed by sample."""
     schedule.validate_for(dataset.num_models)
     tables = stage_tables(dataset)
-    used = _models_used(tables.margins, np.asarray(schedule.thresholds, dtype=np.float64))
-
-    margins = tables.margins
-    predictions = tables.predictions
-    cum_costs = tables.cum_costs_ms
-    traces = []
-    for sample, stages in enumerate(used):
-        k = int(stages)
-        traces.append(
-            CascadeTrace(
-                models_used=k,
-                margins=margins[:k, sample].copy(),
-                prediction=int(predictions[k - 1, sample]),
-                cost_ms=float(cum_costs[k - 1]),
-            )
-        )
-    return traces
+    used = _models_used(tables.margins, schedule.thresholds)
+    used.setflags(write=False)
+    return CascadeRun(tables, used)

@@ -20,7 +20,6 @@ import time
 from pathlib import Path
 
 from . import calibration, dataset_io, metrics_report, synthgen
-from .cascade_engine import ThresholdSchedule, run_dataset
 from .dataset_io import MANIFEST_NAME
 from .errors import ValidationError
 from .metrics_report import format_real
@@ -187,27 +186,16 @@ def _cmd_run(args) -> int:
         )
     dataset = _load_data_dir(args.data)
     started = time.perf_counter()
-    traces = run_dataset(dataset, schedule_file.schedule)
-    rep = metrics_report.report(dataset, traces)
-    _stderr_timing("run", started)
-    config = Path(args.schedule).stem
-    metrics_report.write_sweep_csv(
-        args.out,
-        [
-            metrics_report.SweepRow(
-                config=config,
-                accuracy=rep.accuracy,
-                avg_cost_ms=rep.avg_cost_ms,
-                latency_ratio=rep.latency_ratio,
-                error_increase=rep.error_increase,
-                avg_models=rep.avg_models,
-            )
-        ],
+    rows = metrics_report.flexible_sweep(
+        dataset, [(Path(args.schedule).stem, schedule_file.schedule)]
     )
+    _stderr_timing("run", started)
+    metrics_report.write_sweep_csv(args.out, rows)
+    row = rows[0]
     print(
-        f"accuracy={format_real(rep.accuracy)} avg_cost_ms={format_real(rep.avg_cost_ms)} "
-        f"R={format_real(rep.latency_ratio)} E={format_real(rep.error_increase)} "
-        f"avg_models={format_real(rep.avg_models)}"
+        f"accuracy={format_real(row.accuracy)} avg_cost_ms={format_real(row.avg_cost_ms)} "
+        f"R={format_real(row.latency_ratio)} E={format_real(row.error_increase)} "
+        f"avg_models={format_real(row.avg_models)}"
     )
     print(f"wrote {args.out}")
     return 0

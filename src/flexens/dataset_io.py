@@ -13,7 +13,8 @@ payloads:
 Logits are stored and held in memory as 32-bit floats; numerical code
 promotes to 64-bit at the point of computation. Costs live only in the
 manifest so the same tensors can be re-costed without rewriting payloads.
-File paths in the manifest are relative to the manifest's directory.
+File paths in the manifest are relative to the manifest's directory and
+may not leave it (no absolute paths, no "..").
 
 Every ingest path validates the full set of invariants up front; a bad
 value is rejected with a coordinate-bearing error, never deferred to
@@ -231,6 +232,11 @@ def _parse_manifest(doc, path: Path) -> DatasetManifest:
     label_file = doc["label_file"]
     if not isinstance(label_file, str):
         raise MalformedManifestError(f"{path}: label_file must be a string")
+    for name in (*logit_files, label_file):
+        if Path(name).is_absolute() or ".." in Path(name).parts:
+            raise MalformedManifestError(
+                f"{path}: payload path {name!r} must stay inside the dataset directory"
+            )
     costs = doc["costs_ms"]
     if not isinstance(costs, list) or not all(
         isinstance(c, (int, float)) and not isinstance(c, bool) for c in costs

@@ -68,8 +68,9 @@ def score_margin(probabilities) -> float:
 
     The second-largest is drawn from the multiset with one occurrence of the
     maximum removed, so a duplicated maximum yields a margin of exactly 0.
-    For softmax input the result lies in [0, 1); note that a top-two logit
-    gap beyond roughly 36 saturates float64 and rounds the margin to 1.0.
+    For softmax input the result lies in [0, 1]: a top-two logit gap beyond
+    roughly 36 saturates float64 and rounds the margin to exactly 1.0, which
+    is why the cascade treats a threshold of 1.0 as "never stop".
     """
     p = np.asarray(probabilities, dtype=np.float64)
     if p.ndim != 1 or p.size < 2:

@@ -1,11 +1,12 @@
-"""Aggregation of cascade traces into reports, histograms, and sweep tables.
+"""Aggregation of cascade runs into reports, histograms, and sweep tables.
 
 Latency here is modeled, never measured: costs come from the dataset
 manifest, so every number in a report is deterministic. CSV outputs use
 fixed headers and 6-significant-digit reals so downstream plotting can be
 scripted against byte-stable files. The R and E columns are the normalized
 latency and relative error increase of gated execution versus always
-running the full ensemble.
+running the full ensemble; score is the single definition of R, E and
+accuracy.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .calibration import relative_error_increase
-from .cascade_engine import CascadeTrace, ThresholdSchedule, run_dataset, stage_tables
+from .cascade_engine import CascadeRun, StageTables, ThresholdSchedule, run_dataset, stage_tables
 from .dataset_io import EnsembleDataset
 
 DEFAULT_HISTOGRAM_BINS = 50
@@ -61,23 +61,25 @@ def format_real(value: float) -> str:
     return format(float(value), ".6g")
 
 
-def report(dataset: EnsembleDataset, traces: Sequence[CascadeTrace]) -> EvaluationReport:
-    """Aggregate per-sample traces; the full-ensemble baseline is computed internally."""
-    num_samples = dataset.num_samples
-    if len(traces) != num_samples:
-        raise ValueError(f"got {len(traces)} traces for {num_samples} samples")
+def relative_error_increase(flexible_error: float, full_error: float) -> float:
+    """(err_flex - err_full) / err_full, falling back to the absolute flexible
+    error when the baseline error is zero (possible on tiny fixtures)."""
+    if full_error == 0.0:
+        return flexible_error
+    return (flexible_error - full_error) / full_error
 
-    tables = stage_tables(dataset)
+
+def score(tables: StageTables, used: np.ndarray, labels: np.ndarray) -> EvaluationReport:
+    """Score the exit stages `used` (models run per sample) against full-ensemble execution."""
+    num_samples = labels.size
     num_models = tables.num_models
-    used = np.fromiter((t.models_used for t in traces), dtype=np.int64, count=num_samples)
-    predictions = np.fromiter((t.prediction for t in traces), dtype=np.int64, count=num_samples)
-
     exit_counts = np.bincount(used, minlength=num_models + 1)[1:]
     gated_cost_total = float(exit_counts @ tables.cum_costs_ms)
     full_cost_total = num_samples * float(tables.cum_costs_ms[-1])
 
-    wrong = np.count_nonzero(predictions != dataset.labels)
-    full_error = np.count_nonzero(tables.predictions[-1] != dataset.labels) / num_samples
+    exit_predictions = tables.predictions[used - 1, np.arange(num_samples)]
+    wrong = np.count_nonzero(exit_predictions != labels)
+    full_error = int(tables.wrong_counts[-1]) / num_samples
 
     return EvaluationReport(
         accuracy=(num_samples - wrong) / num_samples,
@@ -87,6 +89,15 @@ def report(dataset: EnsembleDataset, traces: Sequence[CascadeTrace]) -> Evaluati
         error_increase=relative_error_increase(wrong / num_samples, full_error),
         exit_counts=exit_counts,
     )
+
+
+def report(dataset: EnsembleDataset, run: CascadeRun) -> EvaluationReport:
+    """Score a run_dataset result; the full-ensemble baseline is computed internally."""
+    if len(run) != dataset.num_samples:
+        raise ValueError(f"got {len(run)} traces for {dataset.num_samples} samples")
+    if not isinstance(run, CascadeRun):
+        raise TypeError(f"report takes the CascadeRun from run_dataset, got {type(run).__name__}")
+    return score(run.tables, run.models_used, dataset.labels)
 
 
 def margin_histogram(
@@ -129,11 +140,10 @@ def ensemble_size_sweep(dataset: EnsembleDataset) -> list[SweepRow]:
     """One row per truncated ensemble size k = 1..N under full (ungated) execution."""
     tables = stage_tables(dataset)
     num_samples = dataset.num_samples
-    full_error = np.count_nonzero(tables.predictions[-1] != dataset.labels) / num_samples
+    full_error = int(tables.wrong_counts[-1]) / num_samples
 
     rows = []
-    for k in range(1, tables.num_models + 1):
-        wrong = np.count_nonzero(tables.predictions[k - 1] != dataset.labels)
+    for k, wrong in enumerate(tables.wrong_counts.tolist(), start=1):
         rows.append(
             SweepRow(
                 config=f"full_{k}",

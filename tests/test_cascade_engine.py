@@ -115,12 +115,30 @@ class TestRunDataset:
         rng = np.random.default_rng(29)
         ds = dataset_factory(rng, num_models=4, num_samples=30, num_classes=5)
         schedule = ThresholdSchedule((0.3, 0.55, 0.2))
-        for sample, trace in enumerate(run_dataset(ds, schedule)):
+        run = run_dataset(ds, schedule)
+        assert len(run) == ds.num_samples
+        for sample, trace in [*enumerate(run), (ds.num_samples - 1, run[-1])]:
             single = run_sample(ds.logits[:, sample], schedule, ds.costs_ms)
             assert single.models_used == trace.models_used
             assert single.prediction == trace.prediction
             np.testing.assert_array_equal(single.margins, trace.margins)
             assert single.cost_ms == trace.cost_ms
+
+    def test_saturated_margin_does_not_stop_at_threshold_one(self):
+        # a top-two gap of 40 rounds model 1's softmax margin to exactly 1.0,
+        # yet thresholds of 1.0 must still reproduce the full ensemble
+        logits = np.array([[40.0, 0.0], [0.0, 45.0], [0.0, 45.0]])
+        schedule = ThresholdSchedule.uniform(1.0, 3)
+        single = run_sample(logits, schedule, [1.0, 1.0, 1.0])
+        assert single.margins[0] == 1.0
+        assert (single.models_used, single.prediction) == (3, 1)
+
+        ds = EnsembleDataset(logits[:, np.newaxis, :], np.array([1]), np.ones(3))
+        run = run_dataset(ds, schedule)
+        np.testing.assert_array_equal(run.models_used, [3])
+        np.testing.assert_array_equal(
+            [t.prediction for t in run], full_ensemble_predictions(ds)
+        )
 
     def test_prefix_determinism(self, dataset_factory):
         # rewriting the logits of models beyond models_used must not change a trace

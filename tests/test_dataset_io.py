@@ -166,6 +166,18 @@ class TestLoadErrors:
         with pytest.raises(MalformedManifestError, match="version"):
             load_dataset(manifest)
 
+    def test_payload_paths_confined_to_directory(self, tmp_path):
+        _write_minimal_dir(tmp_path)  # valid payloads one level above the dataset
+        manifest = _write_minimal_dir(tmp_path / "inner")
+        doc = json.loads(manifest.read_text())
+        for key, escape in (
+            ("label_file", str(tmp_path / "labels.ensy")),
+            ("logit_files", ["../logits_000.ensl"]),
+        ):
+            manifest.write_text(json.dumps({**doc, key: escape}))
+            with pytest.raises(MalformedManifestError, match="inside the dataset directory"):
+                load_dataset(manifest)
+
     def test_header_disagrees_with_manifest(self, tmp_path):
         manifest = _write_minimal_dir(tmp_path)
         bad = LOGIT_MAGIC + struct.pack("<III", 1, 5, 2) + np.zeros(10, "<f4").tobytes()

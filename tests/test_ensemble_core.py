@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from flexens.cascade_engine import stage_tables
 from flexens.ensemble_core import average_logits, predict, score_margin, softmax
 
 # Quantizing inputs to a 1e-6 grid keeps distinct entries far enough apart
@@ -121,3 +122,16 @@ class TestScoreMargin:
     def test_bounds_on_softmax_input(self, z):
         m = score_margin(softmax(z))
         assert 0.0 <= m < 1.0
+
+
+class TestAgreesWithStageTables:
+    def test_one_d_chain_matches_every_sample_and_prefix(self, dataset_factory):
+        # running mean here, cumsum-then-divide in the engine: ulps apart at most
+        ds = dataset_factory(np.random.default_rng(13), num_models=5, num_samples=40)
+        tables = stage_tables(ds)
+        for sample in range(ds.num_samples):
+            for k in range(1, ds.num_models + 1):
+                averaged = average_logits(list(ds.logits[:k, sample]))
+                probabilities = softmax(averaged.values)
+                assert abs(score_margin(probabilities) - tables.margins[k - 1, sample]) <= 1e-12
+                assert predict(probabilities) == tables.predictions[k - 1, sample]
