@@ -11,7 +11,16 @@ only, alpha = 0 accuracy only; the default 0.5 weighs them equally.
 
 Stages are searched greedily in cascade order: while stage k is searched,
 earlier stages keep their already chosen thresholds and later stages are
-pinned at 1.0, so no early exit beyond stage k can blur the measurement.
+pinned at 1.0, which never stops, so no early exit beyond stage k can blur
+the measurement. A sample still alive at stage k thus either exits there
+(margin >= tau) or runs all N models. Each stage is scored in one sweep: the
+alive samples are sorted by their stage-k margin, integer prefix sums count
+the wrong predictions at stage k and at stage N, and one searchsorted over
+the grid gives every candidate's exit count and wrong count, which
+metrics_report.score_counts turns into R and E by the same arithmetic as
+every report. With N models, M samples and G candidates the search costs
+O(N*M log M + N*G) time and O(M) memory.
+
 Ties are broken toward the lower threshold, which prefers latency when the
 objective is flat. The search is a pure function of (dataset, alpha, step).
 """
@@ -24,11 +33,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .cascade_engine import ThresholdSchedule, _models_used, run_dataset, stage_tables
-from .dataset_io import EnsembleDataset
+from .cascade_engine import ThresholdSchedule, run_dataset, stage_tables
+from .dataset_io import EnsembleDataset, write_atomic
 from .errors import MalformedScheduleError
 # relative_error_increase is re-exported from here for existing callers
-from .metrics_report import EvaluationReport, relative_error_increase, score  # noqa: F401
+from .metrics_report import (  # noqa: F401
+    EvaluationReport,
+    relative_error_increase,
+    score,
+    score_counts,
+)
 
 DEFAULT_ALPHA = 0.5
 DEFAULT_GRID_STEP = 0.01
@@ -81,33 +95,64 @@ def evaluate_objective(
     return _objective(alpha, score(run.tables, run.models_used, dataset.labels))
 
 
+def _prefix_counts(flags: np.ndarray) -> np.ndarray:
+    """counts[q] is the number of True values among flags[:q]."""
+    counts = np.zeros(flags.size + 1, dtype=np.int64)
+    np.cumsum(flags, out=counts[1:])
+    return counts
+
+
 def calibrate(
     dataset: EnsembleDataset,
     alpha: float = DEFAULT_ALPHA,
     grid: GridSpec = GridSpec(),
 ) -> ThresholdSchedule:
-    """Choose stop thresholds by greedy per-stage grid search (see module docs)."""
+    """Choose stop thresholds by greedy per-stage grid search, one sorted-margin
+    sweep per stage (see module docs)."""
     _check_alpha(alpha)
     num_models = dataset.num_models
     if num_models < 2:
         raise ValueError("calibration needs at least 2 models")
 
     tables = stage_tables(dataset)
+    labels = dataset.labels
     candidates = grid.values()
+    taus = np.array(candidates)
+    full_wrong = tables.predictions[-1] != labels
 
+    alive = np.arange(dataset.num_samples)  # samples no chosen threshold has stopped
+    done_counts = np.zeros(num_models, dtype=np.int64)  # exits at the chosen stages
+    done_wrong = 0
     chosen: list[float] = []
     for stage in range(num_models - 1):
-        tail = [1.0] * (num_models - 2 - stage)
-        best_value = np.inf
-        best_tau = candidates[0]
-        for tau in candidates:
-            used = _models_used(tables.margins, chosen + [tau] + tail)
-            value = _objective(alpha, score(tables, used, dataset.labels)).value
+        margins = tables.margins[stage, alive]
+        # searchsorted never splits a run of equal margins, so their order is irrelevant
+        order = np.argsort(margins)
+        ranked = alive[order]
+        # wrong predictions among the q lowest alive margins, exiting here or at N
+        exit_wrong = _prefix_counts(tables.predictions[stage, ranked] != labels[ranked])
+        full_wrong_below = _prefix_counts(full_wrong[ranked])
+        # samples below tau run all N models, the rest stop here; 1.0 never stops
+        stays = np.searchsorted(margins[order], taus, side="left")
+        stays[taus == 1.0] = alive.size
+
+        best_value, best_stay, best_tau = np.inf, int(stays[0]), candidates[0]
+        for tau, stay in zip(candidates, stays.tolist()):
+            counts = done_counts.copy()
+            counts[stage] += alive.size - stay
+            counts[-1] += stay
+            wrong = done_wrong + int(exit_wrong[-1] - exit_wrong[stay] + full_wrong_below[stay])
+            value = _objective(alpha, score_counts(tables, counts, wrong)).value
             # strict < keeps the earliest (lowest) candidate on plateaus
             if value < best_value:
-                best_value = value
-                best_tau = tau
+                best_value, best_stay, best_tau = value, stay, tau
         chosen.append(best_tau)
+
+        done_counts[stage] += alive.size - best_stay
+        done_wrong += int(exit_wrong[-1] - exit_wrong[best_stay])
+        keep = np.zeros(alive.size, dtype=bool)
+        keep[order[:best_stay]] = True
+        alive = alive[keep]
     return ThresholdSchedule(tuple(chosen))
 
 
@@ -131,7 +176,7 @@ def save_schedule(
     calibration_data: str | None = None,
     allow_same_split: bool = False,
 ) -> None:
-    """Write a schedule JSON file; metadata keys are emitted only when set."""
+    """Write a schedule JSON file atomically; metadata keys are emitted only when set."""
     doc: dict = {
         "version": 1,
         "alpha": alpha,
@@ -142,7 +187,7 @@ def save_schedule(
         doc["calibration_data"] = calibration_data
     if allow_same_split:
         doc["allow_same_split"] = True
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    write_atomic(path, json.dumps(doc, indent=2) + "\n")
 
 
 def load_schedule(path) -> ScheduleFile:

@@ -24,6 +24,7 @@ computation time.
 from __future__ import annotations
 
 import json
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -142,11 +143,30 @@ class DatasetManifest:
     costs_ms: tuple[float, ...]
 
 
+def write_atomic(path, data: str | bytes) -> None:
+    """Write `data` (str as UTF-8 text) to `path` via a sibling temporary file and os.replace.
+
+    A failure or crash mid-write leaves any existing file at `path` as it was.
+    """
+    target = Path(path)
+    tmp = target.with_name(f".{target.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
+    try:
+        if isinstance(data, str):
+            tmp.write_text(data, encoding="utf-8")
+        else:
+            tmp.write_bytes(data)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_dataset(dataset: EnsembleDataset, directory) -> DatasetManifest:
     """Write manifest plus binary payloads into `directory` (created if absent).
 
     Two saves of the same dataset produce byte-identical files, and
-    load_dataset(save_dataset(d)) reproduces d bit-for-bit.
+    load_dataset(save_dataset(d)) reproduces d bit-for-bit. Each file is
+    written atomically and the manifest last.
     """
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
@@ -157,12 +177,12 @@ def save_dataset(dataset: EnsembleDataset, directory) -> DatasetManifest:
             LOGIT_MAGIC, FORMAT_VERSION, dataset.num_samples, dataset.num_classes
         )
         payload = np.ascontiguousarray(dataset.logits[i], dtype="<f4").tobytes()
-        (root / name).write_bytes(header + payload)
+        write_atomic(root / name, header + payload)
 
     label_file = "labels.ensy"
     label_header = _LABEL_HEADER.pack(LABEL_MAGIC, FORMAT_VERSION, dataset.num_samples)
     label_payload = dataset.labels.astype("<u4").tobytes()
-    (root / label_file).write_bytes(label_header + label_payload)
+    write_atomic(root / label_file, label_header + label_payload)
 
     costs = tuple(float(c) for c in dataset.costs_ms)
     manifest = DatasetManifest(
@@ -183,7 +203,7 @@ def save_dataset(dataset: EnsembleDataset, directory) -> DatasetManifest:
         "label_file": manifest.label_file,
         "costs_ms": list(manifest.costs_ms),
     }
-    (root / MANIFEST_NAME).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    write_atomic(root / MANIFEST_NAME, json.dumps(doc, indent=2) + "\n")
     return manifest
 
 

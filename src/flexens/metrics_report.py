@@ -5,20 +5,20 @@ manifest, so every number in a report is deterministic. CSV outputs use
 fixed headers and 6-significant-digit reals so downstream plotting can be
 scripted against byte-stable files. The R and E columns are the normalized
 latency and relative error increase of gated execution versus always
-running the full ensemble; score is the single definition of R, E and
-accuracy.
+running the full ensemble; score_counts is the single definition of R, E
+and accuracy, which score and calibration's sweep both call. Every CSV is
+written atomically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
 
 from .cascade_engine import CascadeRun, StageTables, ThresholdSchedule, run_dataset, stage_tables
-from .dataset_io import EnsembleDataset
+from .dataset_io import EnsembleDataset, write_atomic
 
 DEFAULT_HISTOGRAM_BINS = 50
 SWEEP_CSV_HEADER = "config,accuracy,avg_cost_ms,R,E,avg_models"
@@ -71,14 +71,22 @@ def relative_error_increase(flexible_error: float, full_error: float) -> float:
 
 def score(tables: StageTables, used: np.ndarray, labels: np.ndarray) -> EvaluationReport:
     """Score the exit stages `used` (models run per sample) against full-ensemble execution."""
-    num_samples = labels.size
+    exit_counts = np.bincount(used, minlength=tables.num_models + 1)[1:]
+    exit_predictions = tables.predictions[used - 1, np.arange(labels.size)]
+    return score_counts(tables, exit_counts, np.count_nonzero(exit_predictions != labels))
+
+
+def score_counts(tables: StageTables, exit_counts: np.ndarray, wrong: int) -> EvaluationReport:
+    """Score a run given only its per-stage exit counts and its number of wrong predictions.
+
+    exit_counts[k-1] is the number of samples stopping after k models (int64).
+    calibrate scores its candidates here without materializing `used`, so
+    every R and E comes from the same arithmetic in the same order.
+    """
+    num_samples = tables.num_samples
     num_models = tables.num_models
-    exit_counts = np.bincount(used, minlength=num_models + 1)[1:]
     gated_cost_total = float(exit_counts @ tables.cum_costs_ms)
     full_cost_total = num_samples * float(tables.cum_costs_ms[-1])
-
-    exit_predictions = tables.predictions[used - 1, np.arange(num_samples)]
-    wrong = np.count_nonzero(exit_predictions != labels)
     full_error = int(tables.wrong_counts[-1]) / num_samples
 
     return EvaluationReport(
@@ -193,7 +201,7 @@ def write_sweep_csv(path, rows: Sequence[SweepRow]) -> None:
                 )
             )
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_histogram_csv(path, histogram: MarginHistogram) -> None:
@@ -210,4 +218,4 @@ def write_histogram_csv(path, histogram: MarginHistogram) -> None:
                 )
             )
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")

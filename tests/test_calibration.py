@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flexens.calibration import (
     CalibrationObjective,
@@ -10,7 +12,13 @@ from flexens.calibration import (
     relative_error_increase,
     save_schedule,
 )
-from flexens.cascade_engine import ThresholdSchedule, run_dataset, stage_tables
+from flexens.cascade_engine import (
+    ThresholdSchedule,
+    full_ensemble_predictions,
+    run_dataset,
+    stage_tables,
+)
+from flexens.dataset_io import EnsembleDataset
 from flexens.errors import MalformedScheduleError, ScheduleMismatchError
 
 # regression constants pinned from the first verified run on the seed-42 dataset
@@ -20,6 +28,58 @@ SEED42_HALF_TAU_OBJECTIVE = CalibrationObjective(
     error_increase=0.02137931034482772,
     value=0.34788251231527106,
 )
+# pinned from the per-candidate grid search before the sorted-margin sweep replaced it
+SEED42_ALPHA0_THRESHOLDS = (0.75, 0.48, 0.26, 0.24, 0.12, 0.1)
+SEED42_ALPHA0_LATENCY_RATIO = 0.5798142857142858
+SEED42_ALPHA1_THRESHOLDS = (0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+SEED42_ALPHA1_LATENCY_RATIO = 0.14285714285714285
+SEED42_ALPHA1_ERROR_INCREASE = 1.686896551724138
+
+
+def reference_calibrate(dataset, alpha, grid):
+    """Greedy grid search by brute force: run and score every candidate schedule."""
+    num_stages = dataset.num_models - 1
+    chosen = []
+    for stage in range(num_stages):
+        tail = [1.0] * (num_stages - stage - 1)
+        best_value, best_tau = np.inf, None
+        for tau in grid.values():
+            schedule = ThresholdSchedule(tuple(chosen + [tau] + tail))
+            value = evaluate_objective(dataset, schedule, alpha).value
+            if value < best_value:
+                best_value, best_tau = value, tau
+        chosen.append(best_tau)
+    return tuple(chosen)
+
+
+@st.composite
+def calibration_cases(draw):
+    """Small datasets with tied integer logits, optional saturated margins
+    (top-two gap of 40), optionally a zero-error full ensemble, and unit or
+    non-uniform costs; plus an alpha and a grid step."""
+    num_models = draw(st.integers(2, 5))
+    num_samples = draw(st.integers(1, 40))
+    num_classes = draw(st.integers(2, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (num_models, num_samples, num_classes)
+    logits = rng.integers(-2, 3, size=shape).astype(np.float32)
+    if draw(st.booleans()):  # a top-two gap of 40 rounds the margin to exactly 1.0
+        hot_class = rng.integers(0, num_classes, num_samples)
+        hot = 40.0 * np.eye(num_classes, dtype=np.float32)[hot_class]
+        every_model = rng.random(num_samples) < 0.2  # saturated at every stage
+        saturated = (rng.random(shape[:2]) < 0.3) | every_model
+        logits[saturated] = hot[np.nonzero(saturated)[1]]
+    labels = rng.integers(0, num_classes, num_samples)
+    if draw(st.booleans()):
+        costs = np.ones(num_models)
+    else:
+        costs = rng.choice([0.25, 0.5, 1.0, 1.5, 3.0], num_models)
+    dataset = EnsembleDataset(logits, labels, costs)
+    if draw(st.booleans()):  # relabel so the full ensemble makes no error
+        dataset = EnsembleDataset(logits, full_ensemble_predictions(dataset), costs)
+    alpha = draw(st.sampled_from([0.0, 0.3, 0.5, 1.0]))
+    grid = GridSpec(step=draw(st.sampled_from([0.01, 0.1, 0.5, 1.0])))
+    return dataset, alpha, grid
 
 
 class TestGridSpec:
@@ -161,6 +221,26 @@ class TestCalibrate:
         a = calibrate(ds, alpha=0.5, grid=GridSpec(step=0.05))
         b = calibrate(ds, alpha=0.5, grid=GridSpec(step=0.05))
         assert a.thresholds == b.thresholds
+
+    @settings(max_examples=300)
+    @given(calibration_cases())
+    def test_matches_brute_force_reference(self, case):
+        dataset, alpha, grid = case
+        expected = reference_calibrate(dataset, alpha, grid)
+        assert calibrate(dataset, alpha, grid).thresholds == expected
+
+    def test_seed42_alpha_extremes_regression(self, seed42_dataset):
+        grid = GridSpec(step=0.01)
+        accuracy_only = calibrate(seed42_dataset, alpha=0.0, grid=grid)
+        assert accuracy_only.thresholds == SEED42_ALPHA0_THRESHOLDS
+        objective = evaluate_objective(seed42_dataset, accuracy_only, alpha=0.0)
+        assert objective.latency_ratio == SEED42_ALPHA0_LATENCY_RATIO
+        assert objective.error_increase == 0.0
+        latency_only = calibrate(seed42_dataset, alpha=1.0, grid=grid)
+        assert latency_only.thresholds == SEED42_ALPHA1_THRESHOLDS
+        objective = evaluate_objective(seed42_dataset, latency_only, alpha=1.0)
+        assert objective.latency_ratio == SEED42_ALPHA1_LATENCY_RATIO
+        assert objective.error_increase == SEED42_ALPHA1_ERROR_INCREASE
 
     def test_single_model_rejected(self, dataset_factory):
         ds = dataset_factory(np.random.default_rng(16), num_models=1)

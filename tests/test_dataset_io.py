@@ -1,10 +1,12 @@
 import json
+import os
 import struct
 
 import numpy as np
 import pytest
 
-from flexens.cascade_engine import full_ensemble_predictions
+from flexens.calibration import save_schedule
+from flexens.cascade_engine import ThresholdSchedule, full_ensemble_predictions
 from flexens.dataset_io import (
     LABEL_MAGIC,
     LOGIT_MAGIC,
@@ -24,6 +26,12 @@ from flexens.errors import (
     NonPositiveCostError,
     RaggedRowsError,
     ValidationError,
+)
+from flexens.metrics_report import (
+    ensemble_size_sweep,
+    margin_histogram,
+    write_histogram_csv,
+    write_sweep_csv,
 )
 
 
@@ -121,6 +129,34 @@ class TestBinaryRoundTrip:
         np.testing.assert_array_equal(
             full_ensemble_predictions(seed42_dataset), full_ensemble_predictions(reloaded)
         )
+
+
+class TestAtomicWrites:
+    @pytest.mark.parametrize("writer", ["schedule", "sweep_csv", "histogram_csv", "manifest"])
+    def test_failed_replace_keeps_existing_file(
+        self, tmp_path, monkeypatch, dataset_factory, writer
+    ):
+        ds = dataset_factory(np.random.default_rng(21))
+        name, write = {
+            "schedule": ("s.json", lambda p: save_schedule(p, ThresholdSchedule.uniform(0.5, 3))),
+            "sweep_csv": ("r.csv", lambda p: write_sweep_csv(p, ensemble_size_sweep(ds))),
+            "histogram_csv": ("h.csv", lambda p: write_histogram_csv(p, margin_histogram(ds, 1))),
+            "manifest": (MANIFEST_NAME, lambda p: save_dataset(ds, p.parent)),
+        }[writer]
+        path = tmp_path / name
+        path.write_text("old contents\n")
+        real_replace = os.replace
+
+        def replace_failing_on_target(src, dst):
+            if os.path.basename(dst) == name:
+                raise OSError("simulated crash before rename")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_failing_on_target)
+        with pytest.raises(OSError, match="simulated"):
+            write(path)
+        assert path.read_text() == "old contents\n"
+        assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
 
 def _write_minimal_dir(tmp_path):
