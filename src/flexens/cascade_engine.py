@@ -11,8 +11,12 @@ rounds the margin to exactly 1.0, which reproduces full-ensemble execution.
 Because the per-stage margins and predictions of a sample do not depend on
 the threshold schedule, they are computed once per dataset as schedule
 independent "stage tables" and cached; running a schedule is then a cheap
-vectorized scan. run_sample and run_dataset share that arithmetic, so their
-results agree bit-for-bit. run_dataset returns a columnar CascadeRun, whose
+vectorized scan. The tables are built over fixed chunks of samples (about
+64 Ki float64 values per model each), so beside its (N, M) outputs the build
+needs O(chunk) working memory however many samples there are; every
+reduction runs along one sample's class axis, so chunking changes no output
+bit. run_sample and run_dataset share that arithmetic, so their results
+agree bit-for-bit. run_dataset returns a columnar CascadeRun, whose
 run[i] builds sample i's CascadeTrace on demand; metrics_report.report takes
 only this result, not a hand-built list of traces.
 """
@@ -79,7 +83,9 @@ class StageTables:
 
     Row k-1 describes the ensemble truncated to its first k models: margins
     and argmax predictions of softmax(mean(logits[:k])), plus cumulative
-    costs. Arrays are frozen; instances are cached per dataset.
+    costs. Arrays are frozen; instances are cached per dataset. stage_tables
+    builds them chunk by chunk in O(chunk) working memory, with the same
+    bytes a whole-array build gives.
     """
 
     margins: np.ndarray  # (num_models, num_samples) float64
@@ -123,30 +129,57 @@ class CascadeRun(Sequence):
         )
 
 
+# stage_tables promotes about this many float64 values per model at a time,
+# so its working set stays cache-sized whatever the number of samples
+_CHUNK_VALUES = 65536
+
 _TABLES_CACHE: "weakref.WeakKeyDictionary[EnsembleDataset, StageTables]" = (
     weakref.WeakKeyDictionary()
 )
 
 
-def _prefix_stage_stats(logits64: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Margins and predictions for every prefix-averaged ensemble size."""
-    num_models, _, num_classes = logits64.shape
-    prefix = np.cumsum(logits64, axis=0)
+def _prefix_stage_stats(prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Margins and predictions of every stage from float64 running logit sums.
+
+    prefix is (num_models, n, num_classes) with prefix[k] the sum of the first
+    k+1 models' logits; it is overwritten. Both results are (num_models, n).
+    Every reduction runs along one row's class axis, so a sample's results do
+    not depend on which other samples share the call.
+    """
+    num_models, num_samples, num_classes = prefix.shape
     prefix /= np.arange(1, num_models + 1, dtype=np.float64)[:, None, None]
     prefix -= prefix.max(axis=2, keepdims=True)
     np.exp(prefix, out=prefix)
     prefix /= prefix.sum(axis=2, keepdims=True)
-    predictions = prefix.argmax(axis=2).astype(np.int64)
-    top_two = np.partition(prefix, num_classes - 2, axis=2)
-    margins = top_two[..., num_classes - 1] - top_two[..., num_classes - 2]
-    return margins, predictions
+    rows = prefix.reshape(-1, num_classes)
+    best = rows.argmax(axis=1)
+    flat = best + np.arange(0, rows.size, num_classes)
+    top = rows.take(flat)
+    # a tied maximum leaves another copy behind, so the masked max is the
+    # second-largest value counted with multiplicity, as np.partition gives
+    rows.put(flat, -np.inf)
+    shape = (num_models, num_samples)
+    return (top - rows.max(axis=1)).reshape(shape), best.reshape(shape)
 
 
 def stage_tables(dataset: EnsembleDataset) -> StageTables:
     """Compute (or fetch cached) stage tables for a dataset."""
     tables = _TABLES_CACHE.get(dataset)
     if tables is None:
-        margins, predictions = _prefix_stage_stats(dataset.logits.astype(np.float64))
+        num_models, num_samples, num_classes = dataset.logits.shape
+        margins = np.empty((num_models, num_samples), dtype=np.float64)
+        predictions = np.empty((num_models, num_samples), dtype=np.int64)
+        step = max(1, _CHUNK_VALUES // num_classes)
+        buffer = np.empty((num_models, min(step, num_samples), num_classes), dtype=np.float64)
+        for start in range(0, num_samples, step):
+            chunk = slice(start, start + step)
+            block = dataset.logits[:, chunk]
+            prefix = buffer[:, : block.shape[1]]
+            np.copyto(prefix, block)
+            # the same sequential order as np.cumsum(axis=0), several times faster here
+            for k in range(1, num_models):
+                prefix[k] += prefix[k - 1]
+            margins[:, chunk], predictions[:, chunk] = _prefix_stage_stats(prefix)
         wrong = np.count_nonzero(predictions != dataset.labels, axis=1).astype(np.int64)
         cum_costs = np.cumsum(dataset.costs_ms, dtype=np.float64)
         for arr in (margins, predictions, wrong, cum_costs):
@@ -158,15 +191,11 @@ def stage_tables(dataset: EnsembleDataset) -> StageTables:
 
 def _models_used(margins: np.ndarray, thresholds) -> np.ndarray:
     """First stage whose margin clears its threshold, else the full ensemble."""
-    num_models = margins.shape[0]
-    if len(thresholds) == 0:
-        return np.full(margins.shape[1], num_models, dtype=np.int64)
     # 1.0 means never stop, even where a saturated margin rounds to exactly 1.0
     stop_at = np.array([np.inf if t == 1.0 else t for t in thresholds], dtype=np.float64)
-    stop = margins[:-1, :] >= stop_at[:, None]
-    stopped = stop.any(axis=0)
-    first = stop.argmax(axis=0)
-    return np.where(stopped, first + 1, num_models).astype(np.int64)
+    stop = np.ones(margins.shape, dtype=bool)
+    np.greater_equal(margins[:-1], stop_at[:, None], out=stop[:-1])
+    return stop.argmax(axis=0) + 1
 
 
 def full_ensemble_predictions(dataset: EnsembleDataset) -> np.ndarray:
@@ -191,7 +220,7 @@ def run_sample(logits_per_model, schedule: ThresholdSchedule, costs_ms) -> Casca
         )
     schedule.validate_for(num_models)
 
-    margins, predictions = _prefix_stage_stats(logits[:, np.newaxis, :])
+    margins, predictions = _prefix_stage_stats(np.cumsum(logits[:, np.newaxis, :], axis=0))
     used = int(_models_used(margins, schedule.thresholds)[0])
     cum_costs = np.cumsum(costs, dtype=np.float64)
     return CascadeTrace(

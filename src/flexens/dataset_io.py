@@ -59,6 +59,8 @@ class EnsembleDataset:
 
     Instances are validated on construction and their arrays are frozen
     (non-writeable), so a dataset can be shared across concurrent readers.
+    Input arrays are copied, except a read-only logits array that owns its
+    memory (as load_dataset builds), which is adopted as is.
     """
 
     logits: np.ndarray  # (num_models, num_samples, num_classes) float32
@@ -66,7 +68,15 @@ class EnsembleDataset:
     costs_ms: np.ndarray  # (num_models,) float64
 
     def __post_init__(self):
-        logits = np.array(self.logits, dtype=np.float32, order="C")
+        raw = self.logits
+        # A read-only array that owns its memory (load_dataset's tensor) is adopted
+        # without a copy: writing to it takes the same deliberate unfreezing as
+        # writing to a dataset's own arrays. Anything else is copied, so a
+        # caller's later writes never reach the dataset.
+        if isinstance(raw, np.ndarray) and raw.flags.owndata and not raw.flags.writeable:
+            logits = np.asarray(raw, dtype=np.float32, order="C")
+        else:
+            logits = np.array(raw, dtype=np.float32, order="C")
         if logits.ndim != 3:
             raise DimensionMismatchError(
                 f"logits must be a 3-D (models, samples, classes) tensor, got {logits.ndim}-D"
@@ -96,8 +106,9 @@ class EnsembleDataset:
                 f"costs_ms must have shape ({num_models},), got {costs.shape}"
             )
 
-        bad = ~np.isfinite(logits)
-        if bad.any():
+        # min and max propagate NaN and reach any inf, so valid logits need no mask
+        if not (np.isfinite(logits.min()) and np.isfinite(logits.max())):
+            bad = ~np.isfinite(logits)
             model, sample, class_index = (int(v) for v in np.argwhere(bad)[0])
             raise NonFiniteLogitError(model, sample, class_index)
 
@@ -299,25 +310,31 @@ def load_dataset(manifest_path) -> EnsembleDataset:
     base = path.parent
     n, m, c = manifest.num_models, manifest.num_samples, manifest.num_classes
 
-    logits = np.empty((n, m, c), dtype=np.float32)
+    logits = np.empty((n, m, c), dtype="<f4")
     for i, name in enumerate(manifest.logit_files):
         file_path = base / name
-        data = _read_header(file_path.read_bytes(), file_path, LOGIT_MAGIC, _HEADER.size)
-        _, version, file_m, file_c = _HEADER.unpack_from(data)
-        if version != FORMAT_VERSION:
-            raise DatasetFormatError(
-                f"{file_path}: unsupported payload version {version}"
+        with open(file_path, "rb") as payload:
+            header = _read_header(
+                payload.read(_HEADER.size), file_path, LOGIT_MAGIC, _HEADER.size
             )
-        if (file_m, file_c) != (m, c):
-            raise DimensionMismatchError(
-                f"{file_path}: header declares {file_m}x{file_c}, manifest says {m}x{c}"
-            )
-        expected = _HEADER.size + 4 * m * c
-        if len(data) != expected:
-            raise DimensionMismatchError(
-                f"{file_path}: payload is {len(data)} bytes, expected {expected}"
-            )
-        logits[i] = np.frombuffer(data, dtype="<f4", offset=_HEADER.size).reshape(m, c)
+            _, version, file_m, file_c = _HEADER.unpack(header)
+            if version != FORMAT_VERSION:
+                raise DatasetFormatError(
+                    f"{file_path}: unsupported payload version {version}"
+                )
+            if (file_m, file_c) != (m, c):
+                raise DimensionMismatchError(
+                    f"{file_path}: header declares {file_m}x{file_c}, manifest says {m}x{c}"
+                )
+            expected = _HEADER.size + 4 * m * c
+            size = os.fstat(payload.fileno()).st_size
+            if size == expected:  # read straight into the tensor, no intermediate bytes
+                size = _HEADER.size + payload.readinto(logits[i])
+            if size != expected:
+                raise DimensionMismatchError(
+                    f"{file_path}: payload is {size} bytes, expected {expected}"
+                )
+    logits.setflags(write=False)  # handed to EnsembleDataset without a copy
 
     label_path = base / manifest.label_file
     data = _read_header(label_path.read_bytes(), label_path, LABEL_MAGIC, _LABEL_HEADER.size)

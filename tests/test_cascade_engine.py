@@ -1,9 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from flexens.cascade_engine import (
+    _CHUNK_VALUES,
     CascadeTrace,
     ThresholdSchedule,
     full_ensemble_predictions,
@@ -205,3 +207,76 @@ class TestRunDataset:
             after = run_dataset(ds, ThresholdSchedule(tuple(raised)))
             for b, a in zip(before, after):
                 assert a.models_used >= b.models_used
+
+
+def reference_stage_stats(logits64: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The whole-array kernel stage_tables replaced: np.cumsum over models, np.partition."""
+    num_models, _, num_classes = logits64.shape
+    prefix = np.cumsum(logits64, axis=0)
+    prefix /= np.arange(1, num_models + 1, dtype=np.float64)[:, None, None]
+    prefix -= prefix.max(axis=2, keepdims=True)
+    np.exp(prefix, out=prefix)
+    prefix /= prefix.sum(axis=2, keepdims=True)
+    predictions = prefix.argmax(axis=2).astype(np.int64)
+    top_two = np.partition(prefix, num_classes - 2, axis=2)
+    margins = top_two[..., num_classes - 1] - top_two[..., num_classes - 2]
+    return margins, predictions
+
+
+def tied_logits(rng, num_models, num_samples, num_classes) -> np.ndarray:
+    """Integer logits in [-2, 2], so most rows tie; every fifth sample has a top-two gap of 40."""
+    logits = rng.integers(-2, 3, size=(num_models, num_samples, num_classes)).astype(np.float32)
+    saturated = np.arange(0, num_samples, 5)
+    logits[:, saturated] = 0.0
+    logits[:, saturated, rng.integers(0, num_classes, saturated.size)] = 40.0
+    return logits
+
+
+class TestChunkedStageTables:
+    @pytest.mark.parametrize("num_classes", [2, 3, 100, 101])
+    @pytest.mark.parametrize("num_models", [1, 3, 7])
+    @pytest.mark.parametrize("chunks", ["one_sample", "one_chunk", "chunk_plus_one", "ragged"])
+    def test_matches_whole_array_kernel_and_run_sample(self, num_models, num_classes, chunks):
+        step = max(1, _CHUNK_VALUES // num_classes)
+        num_samples = {
+            "one_sample": 1,
+            "one_chunk": step,
+            "chunk_plus_one": step + 1,
+            "ragged": 3 * step + step // 3,
+        }[chunks]
+        rng = np.random.default_rng([num_models, num_classes, num_samples])
+        logits = tied_logits(rng, num_models, num_samples, num_classes)
+        labels = rng.integers(0, num_classes, num_samples)
+        ds = EnsembleDataset(logits, labels, np.ones(num_models))
+
+        tables = stage_tables(ds)
+        margins, predictions = reference_stage_stats(logits.astype(np.float64))
+        assert tables.margins.tobytes() == margins.tobytes()
+        np.testing.assert_array_equal(tables.predictions, predictions)
+        assert tables.margins[:, 0].min() > 1 - 1e-12  # sample 0 has the gap of 40
+
+        never_stop = ThresholdSchedule.uniform(1.0, num_models)
+        stop_first = ThresholdSchedule.uniform(0.0, num_models)
+        starts = range(0, num_samples, step)
+        chunk_ends = {end for start in starts for end in (start, start + step - 1)}
+        picked = chunk_ends | set(rng.integers(0, num_samples, 8).tolist())
+        for sample in sorted(s for s in picked if s < num_samples):
+            single = run_sample(logits[:, sample], never_stop, ds.costs_ms)
+            assert single.margins.tobytes() == tables.margins[:, sample].tobytes()
+            assert single.prediction == tables.predictions[-1, sample]
+            first = run_sample(logits[:, sample], stop_first, ds.costs_ms)
+            assert first.prediction == tables.predictions[0, sample]
+
+    def test_cold_build_memory_is_bounded_by_its_outputs(self, dataset_factory):
+        # the whole-array build held about three float64 copies of the tensor (36 MB here)
+        ds = dataset_factory(
+            np.random.default_rng(8), num_models=3, num_samples=5000, num_classes=100
+        )
+        tracemalloc.start()
+        try:
+            tables = stage_tables(ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        outputs = tables.margins.nbytes + tables.predictions.nbytes
+        assert peak < outputs + 4 * 2**20

@@ -1,6 +1,7 @@
 import json
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -93,6 +94,17 @@ class TestValidation:
         with pytest.raises(ValueError):
             ds.labels[0] = 1
 
+    def test_caller_arrays_are_copied(self):
+        logits = np.zeros((1, 2, 2), np.float32)
+        frozen_view = logits[:]
+        frozen_view.setflags(write=False)
+        ds = EnsembleDataset(logits, np.array([0, 1]), np.array([1.0]))
+        from_view = EnsembleDataset(frozen_view, np.array([0, 1]), np.array([1.0]))
+        assert logits.flags.writeable
+        logits[0, 0, :] = 5.0
+        assert ds.logits[0, 0, 0] == 0.0
+        assert from_view.logits[0, 0, 1] == 0.0
+
 
 class TestBinaryRoundTrip:
     def test_minimal_round_trip_and_exact_bytes(self, tmp_path):
@@ -121,6 +133,20 @@ class TestBinaryRoundTrip:
         save_dataset(ds, tmp_path / "b")
         for name in ["logits_000.ensl", "labels.ensy", MANIFEST_NAME]:
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_load_holds_the_tensor_once(self, tmp_path, dataset_factory):
+        ds = dataset_factory(
+            np.random.default_rng(8), num_models=3, num_samples=5000, num_classes=100
+        )
+        save_dataset(ds, tmp_path)
+        tracemalloc.start()
+        try:
+            loaded = load_dataset(tmp_path / MANIFEST_NAME)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert_datasets_equal(ds, loaded)
+        assert peak < ds.logits.nbytes + 2 * 2**20
 
     def test_round_trip_preserves_predictions(self, tmp_path, seed42_dataset):
         save_dataset(seed42_dataset, tmp_path)
@@ -226,6 +252,22 @@ class TestLoadErrors:
         path = tmp_path / "logits_000.ensl"
         path.write_bytes(path.read_bytes()[:-2])
         with pytest.raises(DimensionMismatchError, match="bytes"):
+            load_dataset(manifest)
+
+    @pytest.mark.parametrize(
+        "cut, message",
+        [
+            (slice(0, 10), "file too short for its header"),
+            (slice(0, -2), "payload is 23 bytes, expected 24"),
+            (slice(0, None), "payload is 25 bytes, expected 24"),
+        ],
+    )
+    def test_payload_size_errors_name_the_sizes(self, tmp_path, cut, message):
+        manifest = _write_minimal_dir(tmp_path)
+        path = tmp_path / "logits_000.ensl"
+        path.write_bytes((path.read_bytes() + b"\0")[cut])
+        error = DatasetFormatError if "header" in message else DimensionMismatchError
+        with pytest.raises(error, match=message):
             load_dataset(manifest)
 
     def test_bad_magic(self, tmp_path):
