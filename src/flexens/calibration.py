@@ -33,7 +33,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cascade_engine import ThresholdSchedule, run_dataset, stage_tables
+from .cascade_engine import ThresholdSchedule, _stop_levels, run_dataset, stage_tables
 from .dataset_io import EnsembleDataset, write_atomic
 from .errors import MalformedScheduleError
 # relative_error_increase is re-exported from here for existing callers
@@ -117,7 +117,7 @@ def calibrate(
     tables = stage_tables(dataset)
     labels = dataset.labels
     candidates = grid.values()
-    taus = np.array(candidates)
+    stop_levels = _stop_levels(candidates)
     full_wrong = tables.predictions[-1] != labels
 
     alive = np.arange(dataset.num_samples)  # samples no chosen threshold has stopped
@@ -132,9 +132,8 @@ def calibrate(
         # wrong predictions among the q lowest alive margins, exiting here or at N
         exit_wrong = _prefix_counts(tables.predictions[stage, ranked] != labels[ranked])
         full_wrong_below = _prefix_counts(full_wrong[ranked])
-        # samples below tau run all N models, the rest stop here; 1.0 never stops
-        stays = np.searchsorted(margins[order], taus, side="left")
-        stays[taus == 1.0] = alive.size
+        # samples below tau run all N models, the rest stop here
+        stays = np.searchsorted(margins[order], stop_levels, side="left")
 
         best_value, best_stay, best_tau = np.inf, int(stays[0]), candidates[0]
         for tau, stay in zip(candidates, stays.tolist()):

@@ -120,13 +120,19 @@ class CascadeRun(Sequence):
         if isinstance(index, slice):
             return [self[i] for i in range(len(self))[index]]
         sample = range(len(self))[index]
-        k = int(self.models_used[sample])
-        return CascadeTrace(
-            models_used=k,
-            margins=self.tables.margins[:k, sample].copy(),
-            prediction=int(self.tables.predictions[k - 1, sample]),
-            cost_ms=float(self.tables.cum_costs_ms[k - 1]),
-        )
+        used, tables = int(self.models_used[sample]), self.tables
+        return _trace(tables.margins, tables.predictions, tables.cum_costs_ms, sample, used)
+
+
+def _trace(margins, predictions, cum_costs, sample: int, used: int) -> CascadeTrace:
+    """The trace of column `sample` of (N, M) stage margins and predictions,
+    stopped after `used` models."""
+    return CascadeTrace(
+        models_used=used,
+        margins=margins[:used, sample].copy(),
+        prediction=int(predictions[used - 1, sample]),
+        cost_ms=float(cum_costs[used - 1]),
+    )
 
 
 # stage_tables promotes about this many float64 values per model at a time,
@@ -189,12 +195,16 @@ def stage_tables(dataset: EnsembleDataset) -> StageTables:
     return tables
 
 
+def _stop_levels(thresholds) -> np.ndarray:
+    """The margins at which each threshold stops: itself, except that 1.0 never
+    stops, not even a saturated margin that rounds to exactly 1.0."""
+    return np.array([np.inf if t == 1.0 else t for t in thresholds], dtype=np.float64)
+
+
 def _models_used(margins: np.ndarray, thresholds) -> np.ndarray:
     """First stage whose margin clears its threshold, else the full ensemble."""
-    # 1.0 means never stop, even where a saturated margin rounds to exactly 1.0
-    stop_at = np.array([np.inf if t == 1.0 else t for t in thresholds], dtype=np.float64)
     stop = np.ones(margins.shape, dtype=bool)
-    np.greater_equal(margins[:-1], stop_at[:, None], out=stop[:-1])
+    np.greater_equal(margins[:-1], _stop_levels(thresholds)[:, None], out=stop[:-1])
     return stop.argmax(axis=0) + 1
 
 
@@ -222,13 +232,7 @@ def run_sample(logits_per_model, schedule: ThresholdSchedule, costs_ms) -> Casca
 
     margins, predictions = _prefix_stage_stats(np.cumsum(logits[:, np.newaxis, :], axis=0))
     used = int(_models_used(margins, schedule.thresholds)[0])
-    cum_costs = np.cumsum(costs, dtype=np.float64)
-    return CascadeTrace(
-        models_used=used,
-        margins=margins[:used, 0].copy(),
-        prediction=int(predictions[used - 1, 0]),
-        cost_ms=float(cum_costs[used - 1]),
-    )
+    return _trace(margins, predictions, np.cumsum(costs, dtype=np.float64), 0, used)
 
 
 def run_dataset(dataset: EnsembleDataset, schedule: ThresholdSchedule) -> CascadeRun:

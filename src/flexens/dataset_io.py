@@ -6,29 +6,33 @@ payloads:
     manifest.json    {"version": 1, "num_models": N, "num_samples": M,
                       "num_classes": C, "logit_files": [... N paths ...],
                       "label_file": "...", "costs_ms": [... N numbers ...]}
-    logits_###.ensl  magic "ENSL", u32 version=1, u32 M, u32 C, then
-                     M*C float32 logits, row-major by sample
-    labels.ensy      magic "ENSY", u32 version=1, u32 M, then M u32 labels
+    logits_###.ensl  payload with magic "ENSL": an (M, C) float32 array
+    labels.ensy      payload with magic "ENSY": an (M,) u32 array
 
-Logits are stored and held in memory as 32-bit floats; numerical code
-promotes to 64-bit at the point of computation. Costs live only in the
-manifest so the same tensors can be re-costed without rewriting payloads.
-File paths in the manifest are relative to the manifest's directory and
-may not leave it (no absolute paths, no "..").
+Every payload is its 4-byte magic, a u32 version (1), one u32 per array
+dimension, then the array's bytes, row-major. The manifest's keys are the
+fields of DatasetManifest, in order. Logits are stored and held in memory
+as 32-bit floats; numerical code promotes to 64-bit at the point of
+computation. Costs live only in the manifest so the same tensors can be
+re-costed without rewriting payloads. File paths in the manifest are
+relative to the manifest's directory and may not leave it (no absolute
+paths, no "..").
 
 Every ingest path validates the full set of invariants up front; a bad
 value is rejected with a coordinate-bearing error, never deferred to
-computation time.
+computation time. load_dataset checks every logit payload's header and
+size against the manifest before it allocates the tensor those numbers size.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import Sequence
+from typing import BinaryIO, Sequence
 
 import numpy as np
 
@@ -48,9 +52,6 @@ FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 LOGIT_MAGIC = b"ENSL"
 LABEL_MAGIC = b"ENSY"
-
-_HEADER = struct.Struct("<4sIII")  # magic, version, M, C (labels reuse it with C slot unused)
-_LABEL_HEADER = struct.Struct("<4sII")  # magic, version, M
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,18 +185,11 @@ def save_dataset(dataset: EnsembleDataset, directory) -> DatasetManifest:
 
     logit_files = [f"logits_{i:03d}.ensl" for i in range(dataset.num_models)]
     for i, name in enumerate(logit_files):
-        header = _HEADER.pack(
-            LOGIT_MAGIC, FORMAT_VERSION, dataset.num_samples, dataset.num_classes
-        )
-        payload = np.ascontiguousarray(dataset.logits[i], dtype="<f4").tobytes()
-        write_atomic(root / name, header + payload)
-
+        logits = np.ascontiguousarray(dataset.logits[i], "<f4")
+        write_atomic(root / name, _payload(LOGIT_MAGIC, logits))
     label_file = "labels.ensy"
-    label_header = _LABEL_HEADER.pack(LABEL_MAGIC, FORMAT_VERSION, dataset.num_samples)
-    label_payload = dataset.labels.astype("<u4").tobytes()
-    write_atomic(root / label_file, label_header + label_payload)
+    write_atomic(root / label_file, _payload(LABEL_MAGIC, dataset.labels.astype("<u4")))
 
-    costs = tuple(float(c) for c in dataset.costs_ms)
     manifest = DatasetManifest(
         version=FORMAT_VERSION,
         num_models=dataset.num_models,
@@ -203,18 +197,9 @@ def save_dataset(dataset: EnsembleDataset, directory) -> DatasetManifest:
         num_classes=dataset.num_classes,
         logit_files=tuple(logit_files),
         label_file=label_file,
-        costs_ms=costs,
+        costs_ms=tuple(float(c) for c in dataset.costs_ms),
     )
-    doc = {
-        "version": manifest.version,
-        "num_models": manifest.num_models,
-        "num_samples": manifest.num_samples,
-        "num_classes": manifest.num_classes,
-        "logit_files": list(manifest.logit_files),
-        "label_file": manifest.label_file,
-        "costs_ms": list(manifest.costs_ms),
-    }
-    write_atomic(root / MANIFEST_NAME, json.dumps(doc, indent=2) + "\n")
+    write_atomic(root / MANIFEST_NAME, json.dumps(asdict(manifest), indent=2) + "\n")
     return manifest
 
 
@@ -228,17 +213,9 @@ def _manifest_int(doc: dict, key: str) -> int:
 def _parse_manifest(doc, path: Path) -> DatasetManifest:
     if not isinstance(doc, dict):
         raise MalformedManifestError(f"{path}: manifest must be a JSON object")
-    for key in (
-        "version",
-        "num_models",
-        "num_samples",
-        "num_classes",
-        "logit_files",
-        "label_file",
-        "costs_ms",
-    ):
-        if key not in doc:
-            raise MalformedManifestError(f"{path}: manifest key {key!r} is missing")
+    for field in fields(DatasetManifest):
+        if field.name not in doc:
+            raise MalformedManifestError(f"{path}: manifest key {field.name!r} is missing")
 
     version = _manifest_int(doc, "version")
     if version != FORMAT_VERSION:
@@ -288,14 +265,58 @@ def _parse_manifest(doc, path: Path) -> DatasetManifest:
     )
 
 
-def _read_header(data: bytes, path: Path, magic: bytes, size: int) -> tuple:
-    if len(data) < size:
-        raise DatasetFormatError(f"{path}: file too short for its header")
-    if data[:4] != magic:
-        raise DatasetFormatError(
-            f"{path}: bad magic {data[:4]!r}, expected {magic.decode('ascii')!r}"
+def _header_format(ndim: int) -> str:
+    """struct format of a payload header: magic, u32 version, one u32 per dimension."""
+    return f"<4sI{ndim}I"
+
+
+def _payload(magic: bytes, array: np.ndarray) -> bytes:
+    """A payload file's bytes: its header, then the little-endian array."""
+    header = struct.pack(_header_format(array.ndim), magic, FORMAT_VERSION, *array.shape)
+    return header + array.tobytes()
+
+
+def _open_payload(path: Path, magic: bytes, shape: tuple[int, ...]) -> BinaryIO:
+    """Open a payload, check its magic, version, dimensions and file size against
+    `shape`, and return the file at its first data byte; the caller closes it."""
+    header_format = _header_format(len(shape))
+    header_size = struct.calcsize(header_format)
+    payload = open(path, "rb")
+    try:
+        header = payload.read(header_size)
+        if len(header) < header_size:
+            raise DatasetFormatError(f"{path}: file too short for its header")
+        file_magic, version, *dims = struct.unpack(header_format, header)
+        if file_magic != magic:
+            raise DatasetFormatError(
+                f"{path}: bad magic {file_magic!r}, expected {magic.decode('ascii')!r}"
+            )
+        if version != FORMAT_VERSION:
+            raise DatasetFormatError(f"{path}: unsupported payload version {version}")
+        if tuple(dims) != shape:
+            raise DimensionMismatchError(
+                f"{path}: header declares {'x'.join(map(str, dims))}, "
+                f"manifest says {'x'.join(map(str, shape))}"
+            )
+        size = os.fstat(payload.fileno()).st_size
+        expected = header_size + 4 * math.prod(shape)  # both payload dtypes are 4 bytes wide
+        if size != expected:
+            raise DimensionMismatchError(f"{path}: payload is {size} bytes, expected {expected}")
+    except BaseException:
+        payload.close()
+        raise
+    return payload
+
+
+def _read_payload(path: Path, magic: bytes, out: np.ndarray) -> None:
+    """Fill `out` from a payload whose header must declare out.shape."""
+    with _open_payload(path, magic, out.shape) as payload:
+        start = payload.tell()
+        read = payload.readinto(out)
+    if read != out.nbytes:  # the file shrank after its size was checked
+        raise DimensionMismatchError(
+            f"{path}: payload is {start + read} bytes, expected {start + out.nbytes}"
         )
-    return data
 
 
 def load_dataset(manifest_path) -> EnsembleDataset:
@@ -307,51 +328,18 @@ def load_dataset(manifest_path) -> EnsembleDataset:
         raise MalformedManifestError(f"{path}: invalid JSON: {exc}") from exc
     manifest = _parse_manifest(doc, path)
 
-    base = path.parent
     n, m, c = manifest.num_models, manifest.num_samples, manifest.num_classes
+    logit_paths = [path.parent / name for name in manifest.logit_files]
+    # the manifest's numbers size the tensor only once every logit payload agrees
+    for logit_path in logit_paths:
+        _open_payload(logit_path, LOGIT_MAGIC, (m, c)).close()
 
     logits = np.empty((n, m, c), dtype="<f4")
-    for i, name in enumerate(manifest.logit_files):
-        file_path = base / name
-        with open(file_path, "rb") as payload:
-            header = _read_header(
-                payload.read(_HEADER.size), file_path, LOGIT_MAGIC, _HEADER.size
-            )
-            _, version, file_m, file_c = _HEADER.unpack(header)
-            if version != FORMAT_VERSION:
-                raise DatasetFormatError(
-                    f"{file_path}: unsupported payload version {version}"
-                )
-            if (file_m, file_c) != (m, c):
-                raise DimensionMismatchError(
-                    f"{file_path}: header declares {file_m}x{file_c}, manifest says {m}x{c}"
-                )
-            expected = _HEADER.size + 4 * m * c
-            size = os.fstat(payload.fileno()).st_size
-            if size == expected:  # read straight into the tensor, no intermediate bytes
-                size = _HEADER.size + payload.readinto(logits[i])
-            if size != expected:
-                raise DimensionMismatchError(
-                    f"{file_path}: payload is {size} bytes, expected {expected}"
-                )
+    for logit_path, out in zip(logit_paths, logits):
+        _read_payload(logit_path, LOGIT_MAGIC, out)
     logits.setflags(write=False)  # handed to EnsembleDataset without a copy
-
-    label_path = base / manifest.label_file
-    data = _read_header(label_path.read_bytes(), label_path, LABEL_MAGIC, _LABEL_HEADER.size)
-    _, version, file_m = _LABEL_HEADER.unpack_from(data)
-    if version != FORMAT_VERSION:
-        raise DatasetFormatError(f"{label_path}: unsupported payload version {version}")
-    if file_m != m:
-        raise DimensionMismatchError(
-            f"{label_path}: header declares {file_m} labels, manifest says {m}"
-        )
-    expected = _LABEL_HEADER.size + 4 * m
-    if len(data) != expected:
-        raise DimensionMismatchError(
-            f"{label_path}: payload is {len(data)} bytes, expected {expected}"
-        )
-    labels = np.frombuffer(data, dtype="<u4", offset=_LABEL_HEADER.size).astype(np.int64)
-
+    labels = np.empty(m, dtype="<u4")
+    _read_payload(path.parent / manifest.label_file, LABEL_MAGIC, labels)
     return EnsembleDataset(logits=logits, labels=labels, costs_ms=np.array(manifest.costs_ms))
 
 

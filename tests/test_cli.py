@@ -58,11 +58,27 @@ class TestValidate:
         assert main(["validate", "--data", str(tmp_path / "nope")]) == 2
         assert "io error" in capsys.readouterr().err
 
-    def test_corrupt_payload_exits_1(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "name, corrupt",
+        [
+            ("logits_000.ensl", lambda raw: b"XXXX" + raw[4:]),
+            # a (3, 10**11, 10**6) float32 tensor would take 1 EiB
+            (
+                "manifest.json",
+                lambda raw: json.dumps(
+                    {**json.loads(raw), "num_samples": 10**11, "num_classes": 10**6}
+                ).encode(),
+            ),
+        ],
+        ids=["bad_magic", "oversized_manifest"],
+    )
+    def test_corrupt_payload_exits_1(self, tmp_path, capsys, name, corrupt):
         data = gen_dataset(tmp_path, "data")
-        target = data / "logits_000.ensl"
-        target.write_bytes(b"XXXX" + target.read_bytes()[4:])
+        target = data / name
+        target.write_bytes(corrupt(target.read_bytes()))
+        capsys.readouterr()
         assert main(["validate", "--data", str(data)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
 
 
 class TestUsageErrors:

@@ -119,6 +119,12 @@ class TestBinaryRoundTrip:
         raw_labels = (tmp_path / "labels.ensy").read_bytes()
         assert raw_labels == LABEL_MAGIC + struct.pack("<II", 1, 1) + struct.pack("<I", 0)
 
+        assert (tmp_path / MANIFEST_NAME).read_text() == (
+            '{\n  "version": 1,\n  "num_models": 1,\n  "num_samples": 1,\n  "num_classes": 2,\n'
+            '  "logit_files": [\n    "logits_000.ensl"\n  ],\n  "label_file": "labels.ensy",\n'
+            '  "costs_ms": [\n    1.0\n  ]\n}\n'
+        )
+
         assert_datasets_equal(ds, load_dataset(tmp_path / MANIFEST_NAME))
 
     def test_round_trip_random(self, tmp_path, dataset_factory):
@@ -185,6 +191,11 @@ class TestAtomicWrites:
         assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
 
+# the minimal dataset's two payloads and their sizes in bytes
+PAYLOAD_SIZES = {"logits_000.ensl": 24, "labels.ensy": 16}
+PAYLOAD_FILES = list(PAYLOAD_SIZES)
+
+
 def _write_minimal_dir(tmp_path):
     save_dataset(minimal_dataset(), tmp_path)
     return tmp_path / MANIFEST_NAME
@@ -240,46 +251,78 @@ class TestLoadErrors:
             with pytest.raises(MalformedManifestError, match="inside the dataset directory"):
                 load_dataset(manifest)
 
-    def test_header_disagrees_with_manifest(self, tmp_path):
+    @pytest.mark.parametrize(
+        "name, bad, message",
+        [
+            (
+                "logits_000.ensl",
+                LOGIT_MAGIC + struct.pack("<III", 1, 5, 2) + np.zeros(10, "<f4").tobytes(),
+                "header declares 5x2, manifest says 1x2",
+            ),
+            (
+                "labels.ensy",
+                LABEL_MAGIC + struct.pack("<II", 1, 5) + np.zeros(5, "<u4").tobytes(),
+                "header declares 5, manifest says 1",
+            ),
+        ],
+        ids=PAYLOAD_FILES,
+    )
+    def test_header_disagrees_with_manifest(self, tmp_path, name, bad, message):
         manifest = _write_minimal_dir(tmp_path)
-        bad = LOGIT_MAGIC + struct.pack("<III", 1, 5, 2) + np.zeros(10, "<f4").tobytes()
-        (tmp_path / "logits_000.ensl").write_bytes(bad)
-        with pytest.raises(DimensionMismatchError, match="header declares"):
+        (tmp_path / name).write_bytes(bad)
+        with pytest.raises(DimensionMismatchError, match=f"{name}: {message}"):
             load_dataset(manifest)
 
-    def test_truncated_payload(self, tmp_path):
+    def test_oversized_manifest_is_rejected_before_allocating(self, tmp_path):
         manifest = _write_minimal_dir(tmp_path)
-        path = tmp_path / "logits_000.ensl"
+        doc = json.loads(manifest.read_text())
+        # a (1, 10**12, 10**6) float32 tensor would take 3.5 EiB
+        manifest.write_text(json.dumps({**doc, "num_samples": 10**12, "num_classes": 10**6}))
+        with pytest.raises(
+            DimensionMismatchError, match="header declares 1x2, manifest says 1000000000000x1000000"
+        ):
+            load_dataset(manifest)
+
+    @pytest.mark.parametrize("name", PAYLOAD_FILES)
+    def test_truncated_payload(self, tmp_path, name):
+        manifest = _write_minimal_dir(tmp_path)
+        path = tmp_path / name
         path.write_bytes(path.read_bytes()[:-2])
         with pytest.raises(DimensionMismatchError, match="bytes"):
             load_dataset(manifest)
 
+    @pytest.mark.parametrize("name", PAYLOAD_FILES)
     @pytest.mark.parametrize(
         "cut, message",
         [
             (slice(0, 10), "file too short for its header"),
-            (slice(0, -2), "payload is 23 bytes, expected 24"),
-            (slice(0, None), "payload is 25 bytes, expected 24"),
+            (slice(0, -2), "payload is {short} bytes, expected {size}"),
+            (slice(0, None), "payload is {long} bytes, expected {size}"),
         ],
+        ids=["short_header", "one_byte_short", "one_byte_long"],
     )
-    def test_payload_size_errors_name_the_sizes(self, tmp_path, cut, message):
+    def test_payload_size_errors_name_the_sizes(self, tmp_path, cut, message, name):
         manifest = _write_minimal_dir(tmp_path)
-        path = tmp_path / "logits_000.ensl"
+        path = tmp_path / name
         path.write_bytes((path.read_bytes() + b"\0")[cut])
+        size = PAYLOAD_SIZES[name]
+        message = message.format(short=size - 1, size=size, long=size + 1)
         error = DatasetFormatError if "header" in message else DimensionMismatchError
         with pytest.raises(error, match=message):
             load_dataset(manifest)
 
-    def test_bad_magic(self, tmp_path):
+    @pytest.mark.parametrize("name", PAYLOAD_FILES)
+    def test_bad_magic(self, tmp_path, name):
         manifest = _write_minimal_dir(tmp_path)
-        path = tmp_path / "logits_000.ensl"
+        path = tmp_path / name
         path.write_bytes(b"XXXX" + path.read_bytes()[4:])
         with pytest.raises(DatasetFormatError, match="magic"):
             load_dataset(manifest)
 
-    def test_bad_payload_version(self, tmp_path):
+    @pytest.mark.parametrize("name", PAYLOAD_FILES)
+    def test_bad_payload_version(self, tmp_path, name):
         manifest = _write_minimal_dir(tmp_path)
-        path = tmp_path / "logits_000.ensl"
+        path = tmp_path / name
         raw = path.read_bytes()
         path.write_bytes(raw[:4] + struct.pack("<I", 7) + raw[8:])
         with pytest.raises(DatasetFormatError, match="version"):
