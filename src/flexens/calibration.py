@@ -34,7 +34,7 @@ from pathlib import Path
 import numpy as np
 
 from .cascade_engine import ThresholdSchedule, _stop_levels, run_dataset, stage_tables
-from .dataset_io import EnsembleDataset, write_atomic
+from .dataset_io import DatasetFiles, EnsembleDataset, write_atomic
 from .errors import MalformedScheduleError
 # relative_error_increase is re-exported from here for existing callers
 from .metrics_report import (  # noqa: F401
@@ -103,7 +103,7 @@ def _prefix_counts(flags: np.ndarray) -> np.ndarray:
 
 
 def calibrate(
-    dataset: EnsembleDataset,
+    dataset: EnsembleDataset | DatasetFiles,
     alpha: float = DEFAULT_ALPHA,
     grid: GridSpec = GridSpec(),
 ) -> ThresholdSchedule:

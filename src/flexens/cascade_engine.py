@@ -11,14 +11,19 @@ rounds the margin to exactly 1.0, which reproduces full-ensemble execution.
 Because the per-stage margins and predictions of a sample do not depend on
 the threshold schedule, they are computed once per dataset as schedule
 independent "stage tables" and cached; running a schedule is then a cheap
-vectorized scan. The tables are built over fixed chunks of samples (about
-64 Ki float64 values per model each), so beside its (N, M) outputs the build
-needs O(chunk) working memory however many samples there are; every
-reduction runs along one sample's class axis, so chunking changes no output
-bit. run_sample and run_dataset share that arithmetic, so their results
-agree bit-for-bit. run_dataset returns a columnar CascadeRun, whose
-run[i] builds sample i's CascadeTrace on demand; metrics_report.report takes
-only this result, not a hand-built list of traces.
+vectorized scan. stage_tables builds them from a chunk source: an
+in-memory EnsembleDataset, or a DatasetFiles handle that reads the payload
+files, checking them as it goes (see dataset_io). One loop takes a chunk of
+samples (about 64 Ki values per model) at a time from either, so beside its
+(N, M) outputs the build needs O(chunk) working memory however many samples
+there are, and no CLI command holds the (N, M, C) tensor. Every reduction
+runs along one sample's class axis, so chunking changes no output bit, and
+stage k depends only on models 1..k, so a build of the first k models gives
+the first k rows of the full one. run_sample and run_dataset share that
+arithmetic, so their results agree bit-for-bit. run_dataset returns a
+columnar CascadeRun, whose run[i] builds sample i's CascadeTrace on demand;
+metrics_report.report takes only this result, not a hand-built list of
+traces.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset_io import EnsembleDataset
+from .dataset_io import DatasetFiles, EnsembleDataset, _chunk_samples
 from .errors import DimensionMismatchError, ScheduleMismatchError
 
 
@@ -83,9 +88,9 @@ class StageTables:
 
     Row k-1 describes the ensemble truncated to its first k models: margins
     and argmax predictions of softmax(mean(logits[:k])), plus cumulative
-    costs. Arrays are frozen; instances are cached per dataset. stage_tables
-    builds them chunk by chunk in O(chunk) working memory, with the same
-    bytes a whole-array build gives.
+    costs. Arrays are frozen; instances are cached per chunk source.
+    stage_tables builds them chunk by chunk in O(chunk) working memory, with
+    the same bytes a whole-array build gives.
     """
 
     margins: np.ndarray  # (num_models, num_samples) float64
@@ -135,11 +140,7 @@ def _trace(margins, predictions, cum_costs, sample: int, used: int) -> CascadeTr
     )
 
 
-# stage_tables promotes about this many float64 values per model at a time,
-# so its working set stays cache-sized whatever the number of samples
-_CHUNK_VALUES = 65536
-
-_TABLES_CACHE: "weakref.WeakKeyDictionary[EnsembleDataset, StageTables]" = (
+_TABLES_CACHE: "weakref.WeakKeyDictionary[EnsembleDataset | DatasetFiles, StageTables]" = (
     weakref.WeakKeyDictionary()
 )
 
@@ -168,30 +169,38 @@ def _prefix_stage_stats(prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return (top - rows.max(axis=1)).reshape(shape), best.reshape(shape)
 
 
-def stage_tables(dataset: EnsembleDataset) -> StageTables:
-    """Compute (or fetch cached) stage tables for a dataset."""
-    tables = _TABLES_CACHE.get(dataset)
-    if tables is None:
-        num_models, num_samples, num_classes = dataset.logits.shape
-        margins = np.empty((num_models, num_samples), dtype=np.float64)
-        predictions = np.empty((num_models, num_samples), dtype=np.int64)
-        step = max(1, _CHUNK_VALUES // num_classes)
-        buffer = np.empty((num_models, min(step, num_samples), num_classes), dtype=np.float64)
-        for start in range(0, num_samples, step):
-            chunk = slice(start, start + step)
-            block = dataset.logits[:, chunk]
+def stage_tables(
+    source: EnsembleDataset | DatasetFiles, num_models: int | None = None
+) -> StageTables:
+    """Compute (or fetch cached) stage tables for a chunk source.
+
+    num_models builds the first num_models stages only (default all). Cached
+    tables of a larger build are returned as they are, so row k-1 is stage k
+    either way.
+    """
+    models = source.num_models if num_models is None else num_models
+    if not 1 <= models <= source.num_models:
+        raise ValueError(f"num_models must be in [1, {source.num_models}], got {models}")
+    tables = _TABLES_CACHE.get(source)
+    if tables is None or tables.num_models < models:
+        num_samples, num_classes = source.num_samples, source.num_classes
+        margins = np.empty((models, num_samples), dtype=np.float64)
+        predictions = np.empty((models, num_samples), dtype=np.int64)
+        rows = min(_chunk_samples(num_classes), num_samples)
+        buffer = np.empty((models, rows, num_classes), dtype=np.float64)
+        for chunk, block in source.logit_chunks(models):
             prefix = buffer[:, : block.shape[1]]
             np.copyto(prefix, block)
             # the same sequential order as np.cumsum(axis=0), several times faster here
-            for k in range(1, num_models):
+            for k in range(1, models):
                 prefix[k] += prefix[k - 1]
             margins[:, chunk], predictions[:, chunk] = _prefix_stage_stats(prefix)
-        wrong = np.count_nonzero(predictions != dataset.labels, axis=1).astype(np.int64)
-        cum_costs = np.cumsum(dataset.costs_ms, dtype=np.float64)
+        wrong = np.count_nonzero(predictions != source.labels, axis=1).astype(np.int64)
+        cum_costs = np.cumsum(source.costs_ms[:models], dtype=np.float64)
         for arr in (margins, predictions, wrong, cum_costs):
             arr.setflags(write=False)
         tables = StageTables(margins, predictions, wrong, cum_costs)
-        _TABLES_CACHE[dataset] = tables
+        _TABLES_CACHE[source] = tables
     return tables
 
 
@@ -208,7 +217,7 @@ def _models_used(margins: np.ndarray, thresholds) -> np.ndarray:
     return stop.argmax(axis=0) + 1
 
 
-def full_ensemble_predictions(dataset: EnsembleDataset) -> np.ndarray:
+def full_ensemble_predictions(dataset: EnsembleDataset | DatasetFiles) -> np.ndarray:
     """Predictions when every model is always evaluated."""
     return stage_tables(dataset).predictions[-1]
 
@@ -235,7 +244,9 @@ def run_sample(logits_per_model, schedule: ThresholdSchedule, costs_ms) -> Casca
     return _trace(margins, predictions, np.cumsum(costs, dtype=np.float64), 0, used)
 
 
-def run_dataset(dataset: EnsembleDataset, schedule: ThresholdSchedule) -> CascadeRun:
+def run_dataset(
+    dataset: EnsembleDataset | DatasetFiles, schedule: ThresholdSchedule
+) -> CascadeRun:
     """Run the cascade on every sample; the result is indexed by sample."""
     schedule.validate_for(dataset.num_models)
     tables = stage_tables(dataset)

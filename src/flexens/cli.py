@@ -104,8 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_data_dir(directory: str) -> dataset_io.EnsembleDataset:
-    return dataset_io.load_dataset(Path(directory) / MANIFEST_NAME)
+def _open_data_dir(directory: str) -> dataset_io.DatasetFiles:
+    # commands stream the logits from the payloads, never holding the (N, M, C) tensor
+    return dataset_io.open_dataset(Path(directory) / MANIFEST_NAME)
 
 
 def _stderr_timing(label: str, started: float) -> None:
@@ -135,7 +136,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    dataset = _load_data_dir(args.data)
+    dataset = _open_data_dir(args.data)
+    dataset.check()
     print(f"models: {dataset.num_models}")
     print(f"samples: {dataset.num_samples}")
     print(f"classes: {dataset.num_classes}")
@@ -144,7 +146,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    dataset = _load_data_dir(args.data)
+    dataset = _open_data_dir(args.data)
     started = time.perf_counter()
     rows = metrics_report.ensemble_size_sweep(dataset)
     _stderr_timing("baseline", started)
@@ -154,7 +156,7 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    dataset = _load_data_dir(args.data)
+    dataset = _open_data_dir(args.data)
     started = time.perf_counter()
     schedule = calibration.calibrate(
         dataset, alpha=args.alpha, grid=calibration.GridSpec(step=args.grid_step)
@@ -184,7 +186,7 @@ def _cmd_run(args) -> int:
             f"{args.data} is the split this schedule was calibrated on; evaluate on a "
             "held-out split or pass --allow-same-split"
         )
-    dataset = _load_data_dir(args.data)
+    dataset = _open_data_dir(args.data)
     started = time.perf_counter()
     rows = metrics_report.flexible_sweep(
         dataset, [(Path(args.schedule).stem, schedule_file.schedule)]
@@ -202,7 +204,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_histogram(args) -> int:
-    dataset = _load_data_dir(args.data)
+    dataset = _open_data_dir(args.data)
     histogram = metrics_report.margin_histogram(
         dataset, ensemble_size=args.ensemble_size, bins=args.bins, limit=args.limit
     )

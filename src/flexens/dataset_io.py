@@ -18,10 +18,26 @@ re-costed without rewriting payloads. File paths in the manifest are
 relative to the manifest's directory and may not leave it (no absolute
 paths, no "..").
 
-Every ingest path validates the full set of invariants up front; a bad
-value is rejected with a coordinate-bearing error, never deferred to
-computation time. load_dataset checks every logit payload's header and
-size against the manifest before it allocates the tensor those numbers size.
+A directory is read in one of two ways. load_dataset builds an
+EnsembleDataset, which holds the whole (N, M, C) tensor and is validated on
+construction; it is the library's entry point. open_dataset returns a
+DatasetFiles handle, which the CLI commands use: it holds the manifest, the
+payload paths, the labels and the costs, and leaves the logits on disk.
+
+Both are chunk sources for cascade_engine.stage_tables: logit_chunks yields
+the logits of consecutive chunks of about _CHUNK_VALUES values per model.
+An EnsembleDataset yields views of its tensor. A DatasetFiles handle reads
+each chunk from every logit payload, one contiguous byte range per payload
+since payloads are row-major by sample, into one reused float32 buffer.
+
+Both ways check the same things and report the first failure in the same
+order: the manifest; every logit payload's header and file size against the
+manifest; the label payload's; every logit finite (the first bad value in
+(model, sample, class) order); every label in [0, C); every cost finite and
+positive. open_dataset checks the first three before allocating anything
+the manifest sizes. A DatasetFiles handle checks the last three in each
+logit_chunks pass: every chunk of every payload for finite values, then,
+once the pass has read them all, the labels and the costs.
 """
 
 from __future__ import annotations
@@ -32,7 +48,7 @@ import os
 import struct
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import BinaryIO, Sequence
+from typing import BinaryIO, Iterator, Sequence
 
 import numpy as np
 
@@ -52,6 +68,37 @@ FORMAT_VERSION = 1
 MANIFEST_NAME = "manifest.json"
 LOGIT_MAGIC = b"ENSL"
 LABEL_MAGIC = b"ENSY"
+
+# a chunk holds about this many values per model; stage_tables promotes a chunk
+# to float64, so its working set stays cache-sized whatever the number of samples
+_CHUNK_VALUES = 65536
+
+
+def _chunk_samples(num_classes: int) -> int:
+    """The number of samples in each chunk of a logit_chunks pass."""
+    return max(1, _CHUNK_VALUES // num_classes)
+
+
+def _first_non_finite(logits: np.ndarray) -> tuple[int, ...] | None:
+    """The coordinates of the first NaN or inf in row-major order, or None."""
+    # min and max propagate NaN and reach any inf, so valid logits need no mask
+    if np.isfinite(logits.min()) and np.isfinite(logits.max()):
+        return None
+    return tuple(int(v) for v in np.argwhere(~np.isfinite(logits))[0])
+
+
+def _check_labels_and_costs(labels: np.ndarray, num_classes: int, costs: np.ndarray) -> None:
+    """Reject the first label outside [0, num_classes), then the first cost that is
+    not finite and positive."""
+    out_of_range = (labels < 0) | (labels >= num_classes)
+    if out_of_range.any():
+        sample = int(np.argmax(out_of_range))
+        raise LabelOutOfRangeError(sample, int(labels[sample]), num_classes)
+
+    bad_cost = ~(np.isfinite(costs) & (costs > 0.0))
+    if bad_cost.any():
+        model = int(np.argmax(bad_cost))
+        raise NonPositiveCostError(model, float(costs[model]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -107,21 +154,10 @@ class EnsembleDataset:
                 f"costs_ms must have shape ({num_models},), got {costs.shape}"
             )
 
-        # min and max propagate NaN and reach any inf, so valid logits need no mask
-        if not (np.isfinite(logits.min()) and np.isfinite(logits.max())):
-            bad = ~np.isfinite(logits)
-            model, sample, class_index = (int(v) for v in np.argwhere(bad)[0])
-            raise NonFiniteLogitError(model, sample, class_index)
-
-        out_of_range = (labels < 0) | (labels >= num_classes)
-        if out_of_range.any():
-            sample = int(np.argmax(out_of_range))
-            raise LabelOutOfRangeError(sample, int(labels[sample]), num_classes)
-
-        bad_cost = ~(np.isfinite(costs) & (costs > 0.0))
-        if bad_cost.any():
-            model = int(np.argmax(bad_cost))
-            raise NonPositiveCostError(model, float(costs[model]))
+        bad = _first_non_finite(logits)
+        if bad is not None:
+            raise NonFiniteLogitError(*bad)
+        _check_labels_and_costs(labels, num_classes, costs)
 
         for arr in (logits, labels, costs):
             arr.setflags(write=False)
@@ -141,6 +177,13 @@ class EnsembleDataset:
     def num_classes(self) -> int:
         return self.logits.shape[2]
 
+    def logit_chunks(self, num_models: int) -> Iterator[tuple[slice, np.ndarray]]:
+        """Yield (samples, logits[:num_models, samples]) over consecutive chunks of samples."""
+        step = _chunk_samples(self.num_classes)
+        for start in range(0, self.num_samples, step):
+            chunk = slice(start, min(start + step, self.num_samples))
+            yield chunk, self.logits[:num_models, chunk]
+
 
 @dataclass(frozen=True)
 class DatasetManifest:
@@ -155,10 +198,13 @@ class DatasetManifest:
     costs_ms: tuple[float, ...]
 
 
-def write_atomic(path, data: str | bytes) -> None:
-    """Write `data` (str as UTF-8 text) to `path` via a sibling temporary file and os.replace.
+def write_atomic(path, data: str | Sequence) -> None:
+    """Write `data` to `path` via a sibling temporary file and os.replace.
 
-    A failure or crash mid-write leaves any existing file at `path` as it was.
+    `data` is a str, written as UTF-8 text, or a sequence of byte-like
+    buffers (such as a header and a contiguous array), written one after
+    another without being joined. A failure or crash mid-write leaves any
+    existing file at `path` as it was.
     """
     target = Path(path)
     tmp = target.with_name(f".{target.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
@@ -166,7 +212,9 @@ def write_atomic(path, data: str | bytes) -> None:
         if isinstance(data, str):
             tmp.write_text(data, encoding="utf-8")
         else:
-            tmp.write_bytes(data)
+            with open(tmp, "wb") as out:
+                for buffer in data:
+                    out.write(buffer)
         os.replace(tmp, target)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -203,10 +251,10 @@ def save_dataset(dataset: EnsembleDataset, directory) -> DatasetManifest:
     return manifest
 
 
-def _manifest_int(doc: dict, key: str) -> int:
+def _manifest_int(doc: dict, key: str, path: Path) -> int:
     value = doc.get(key)
     if not isinstance(value, int) or isinstance(value, bool):
-        raise MalformedManifestError(f"manifest key {key!r} must be an integer")
+        raise MalformedManifestError(f"{path}: manifest key {key!r} must be an integer")
     return value
 
 
@@ -217,14 +265,14 @@ def _parse_manifest(doc, path: Path) -> DatasetManifest:
         if field.name not in doc:
             raise MalformedManifestError(f"{path}: manifest key {field.name!r} is missing")
 
-    version = _manifest_int(doc, "version")
+    version = _manifest_int(doc, "version", path)
     if version != FORMAT_VERSION:
         raise MalformedManifestError(
             f"{path}: unsupported manifest version {version}, expected {FORMAT_VERSION}"
         )
-    num_models = _manifest_int(doc, "num_models")
-    num_samples = _manifest_int(doc, "num_samples")
-    num_classes = _manifest_int(doc, "num_classes")
+    num_models = _manifest_int(doc, "num_models", path)
+    num_samples = _manifest_int(doc, "num_samples", path)
+    num_classes = _manifest_int(doc, "num_classes", path)
     if num_models < 1 or num_samples < 1:
         raise MalformedManifestError(f"{path}: num_models and num_samples must be >= 1")
     if num_classes < 2:
@@ -270,10 +318,10 @@ def _header_format(ndim: int) -> str:
     return f"<4sI{ndim}I"
 
 
-def _payload(magic: bytes, array: np.ndarray) -> bytes:
-    """A payload file's bytes: its header, then the little-endian array."""
+def _payload(magic: bytes, array: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """A payload file's contents: its header, then the contiguous little-endian array."""
     header = struct.pack(_header_format(array.ndim), magic, FORMAT_VERSION, *array.shape)
-    return header + array.tobytes()
+    return header, array
 
 
 def _open_payload(path: Path, magic: bytes, shape: tuple[int, ...]) -> BinaryIO:
@@ -308,19 +356,96 @@ def _open_payload(path: Path, magic: bytes, shape: tuple[int, ...]) -> BinaryIO:
     return payload
 
 
+def _fill(payload: BinaryIO, path: Path, out: np.ndarray, size: int) -> None:
+    """readinto `out` from the payload's position; `size` is its checked file size."""
+    offset = payload.tell()
+    read = payload.readinto(out)
+    if read != out.nbytes:  # the file shrank after its size was checked
+        raise DimensionMismatchError(f"{path}: payload is {offset + read} bytes, expected {size}")
+
+
 def _read_payload(path: Path, magic: bytes, out: np.ndarray) -> None:
     """Fill `out` from a payload whose header must declare out.shape."""
     with _open_payload(path, magic, out.shape) as payload:
-        start = payload.tell()
-        read = payload.readinto(out)
-    if read != out.nbytes:  # the file shrank after its size was checked
-        raise DimensionMismatchError(
-            f"{path}: payload is {start + read} bytes, expected {start + out.nbytes}"
-        )
+        _fill(payload, path, out, payload.tell() + out.nbytes)
 
 
-def load_dataset(manifest_path) -> EnsembleDataset:
-    """Load and fully validate a dataset directory given its manifest path."""
+@dataclass(frozen=True, eq=False)
+class DatasetFiles:
+    """A dataset directory opened by open_dataset; the logits stay on disk.
+
+    Every payload's header and size, and the labels, were checked at open.
+    Each logit_chunks pass reads every logit payload, and checks what
+    EnsembleDataset checks on construction: finite logits, then labels in
+    range, then positive costs. Until a pass has finished, the label values
+    and the costs are unchecked.
+    """
+
+    manifest: DatasetManifest
+    logit_paths: tuple[Path, ...]
+    labels: np.ndarray  # (num_samples,) int64, frozen
+    costs_ms: np.ndarray  # (num_models,) float64, frozen
+
+    @property
+    def num_models(self) -> int:
+        return self.manifest.num_models
+
+    @property
+    def num_samples(self) -> int:
+        return self.manifest.num_samples
+
+    @property
+    def num_classes(self) -> int:
+        return self.manifest.num_classes
+
+    def logit_chunks(self, num_models: int) -> Iterator[tuple[slice, np.ndarray]]:
+        """Yield (samples, logits[:num_models, samples]) over consecutive chunks of
+        samples, read from the payloads into one reused float32 buffer.
+
+        Every payload is read and checked whatever num_models is. Once a chunk
+        holds a non-finite value no more chunks are yielded, and the pass raises
+        at its end for the first one in (model, sample, class) order.
+        """
+        num_samples, num_classes = self.num_samples, self.num_classes
+        step = _chunk_samples(num_classes)
+        size = struct.calcsize(_header_format(2)) + 4 * num_samples * num_classes
+        buffer = np.empty((self.num_models, min(step, num_samples), num_classes), dtype="<f4")
+        first_bad = None
+        payloads = []
+        try:
+            for path in self.logit_paths:
+                payloads.append(_open_payload(path, LOGIT_MAGIC, (num_samples, num_classes)))
+            for start in range(0, num_samples, step):
+                chunk = slice(start, min(start + step, num_samples))
+                block = buffer[:, : chunk.stop - start]
+                for path, payload, out in zip(self.logit_paths, payloads, block):
+                    _fill(payload, path, out, size)
+                bad = _first_non_finite(block)
+                if bad is not None:
+                    # a later chunk may hold a bad value of an earlier model
+                    bad = (bad[0], start + bad[1], bad[2])
+                    first_bad = bad if first_bad is None else min(first_bad, bad)
+                if first_bad is None:
+                    yield chunk, block[:num_models]
+        finally:
+            for payload in payloads:
+                payload.close()
+        if first_bad is not None:
+            raise NonFiniteLogitError(*first_bad)
+        _check_labels_and_costs(self.labels, num_classes, self.costs_ms)
+
+    def check(self) -> None:
+        """Run the checking pass alone: read every logit, build nothing."""
+        for _ in self.logit_chunks(0):
+            pass
+
+
+def open_dataset(manifest_path) -> DatasetFiles:
+    """Open a dataset directory given its manifest path, without reading its logits.
+
+    Checks the manifest, every logit payload's header and size, and the label
+    payload's, then reads the labels; logit_chunks checks the rest.
+    """
     path = Path(manifest_path)
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
@@ -328,19 +453,31 @@ def load_dataset(manifest_path) -> EnsembleDataset:
         raise MalformedManifestError(f"{path}: invalid JSON: {exc}") from exc
     manifest = _parse_manifest(doc, path)
 
-    n, m, c = manifest.num_models, manifest.num_samples, manifest.num_classes
-    logit_paths = [path.parent / name for name in manifest.logit_files]
-    # the manifest's numbers size the tensor only once every logit payload agrees
+    shape = (manifest.num_samples, manifest.num_classes)
+    logit_paths = tuple(path.parent / name for name in manifest.logit_files)
     for logit_path in logit_paths:
-        _open_payload(logit_path, LOGIT_MAGIC, (m, c)).close()
+        _open_payload(logit_path, LOGIT_MAGIC, shape).close()
+    raw_labels = np.empty(manifest.num_samples, dtype="<u4")
+    _read_payload(path.parent / manifest.label_file, LABEL_MAGIC, raw_labels)
+    labels = raw_labels.astype(np.int64)
+    costs = np.array(manifest.costs_ms, dtype=np.float64)
+    for arr in (labels, costs):
+        arr.setflags(write=False)
+    return DatasetFiles(manifest, logit_paths, labels, costs)
 
-    logits = np.empty((n, m, c), dtype="<f4")
-    for logit_path, out in zip(logit_paths, logits):
+
+def load_dataset(manifest_path) -> EnsembleDataset:
+    """Load and fully validate a dataset directory given its manifest path.
+
+    The dataset holds the whole (N, M, C) tensor; no tensor is allocated
+    before open_dataset has checked every payload against the manifest.
+    """
+    files = open_dataset(manifest_path)
+    logits = np.empty((files.num_models, files.num_samples, files.num_classes), dtype="<f4")
+    for logit_path, out in zip(files.logit_paths, logits):
         _read_payload(logit_path, LOGIT_MAGIC, out)
     logits.setflags(write=False)  # handed to EnsembleDataset without a copy
-    labels = np.empty(m, dtype="<u4")
-    _read_payload(path.parent / manifest.label_file, LABEL_MAGIC, labels)
-    return EnsembleDataset(logits=logits, labels=labels, costs_ms=np.array(manifest.costs_ms))
+    return EnsembleDataset(logits=logits, labels=files.labels, costs_ms=files.costs_ms)
 
 
 def _read_csv_rows(path: Path) -> list[list[str]]:

@@ -18,7 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .cascade_engine import CascadeRun, StageTables, ThresholdSchedule, run_dataset, stage_tables
-from .dataset_io import EnsembleDataset, write_atomic
+from .dataset_io import DatasetFiles, EnsembleDataset, write_atomic
 
 DEFAULT_HISTOGRAM_BINS = 50
 SWEEP_CSV_HEADER = "config,accuracy,avg_cost_ms,R,E,avg_models"
@@ -99,7 +99,7 @@ def score_counts(tables: StageTables, exit_counts: np.ndarray, wrong: int) -> Ev
     )
 
 
-def report(dataset: EnsembleDataset, run: CascadeRun) -> EvaluationReport:
+def report(dataset: EnsembleDataset | DatasetFiles, run: CascadeRun) -> EvaluationReport:
     """Score a run_dataset result; the full-ensemble baseline is computed internally."""
     if len(run) != dataset.num_samples:
         raise ValueError(f"got {len(run)} traces for {dataset.num_samples} samples")
@@ -109,7 +109,7 @@ def report(dataset: EnsembleDataset, run: CascadeRun) -> EvaluationReport:
 
 
 def margin_histogram(
-    dataset: EnsembleDataset,
+    dataset: EnsembleDataset | DatasetFiles,
     ensemble_size: int,
     bins: int = DEFAULT_HISTOGRAM_BINS,
     limit: int | None = None,
@@ -132,7 +132,7 @@ def margin_histogram(
             raise ValueError(f"limit must be >= 1, got {limit}")
         take = min(limit, take)
 
-    tables = stage_tables(dataset)
+    tables = stage_tables(dataset, ensemble_size)
     margins = tables.margins[ensemble_size - 1, :take]
     correct = tables.predictions[ensemble_size - 1, :take] == dataset.labels[:take]
 
@@ -144,7 +144,7 @@ def margin_histogram(
     )
 
 
-def ensemble_size_sweep(dataset: EnsembleDataset) -> list[SweepRow]:
+def ensemble_size_sweep(dataset: EnsembleDataset | DatasetFiles) -> list[SweepRow]:
     """One row per truncated ensemble size k = 1..N under full (ungated) execution."""
     tables = stage_tables(dataset)
     num_samples = dataset.num_samples
@@ -167,7 +167,7 @@ def ensemble_size_sweep(dataset: EnsembleDataset) -> list[SweepRow]:
 
 
 def flexible_sweep(
-    dataset: EnsembleDataset, schedules: Sequence[tuple[str, ThresholdSchedule]]
+    dataset: EnsembleDataset | DatasetFiles, schedules: Sequence[tuple[str, ThresholdSchedule]]
 ) -> list[SweepRow]:
     """One row per named schedule under gated execution."""
     rows = []

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from flexens.cascade_engine import (
-    _CHUNK_VALUES,
     CascadeTrace,
     ThresholdSchedule,
     full_ensemble_predictions,
@@ -13,7 +12,13 @@ from flexens.cascade_engine import (
     run_sample,
     stage_tables,
 )
-from flexens.dataset_io import EnsembleDataset
+from flexens.dataset_io import (
+    _CHUNK_VALUES,
+    MANIFEST_NAME,
+    EnsembleDataset,
+    open_dataset,
+    save_dataset,
+)
 from flexens.errors import DimensionMismatchError, ScheduleMismatchError
 
 
@@ -236,7 +241,9 @@ class TestChunkedStageTables:
     @pytest.mark.parametrize("num_classes", [2, 3, 100, 101])
     @pytest.mark.parametrize("num_models", [1, 3, 7])
     @pytest.mark.parametrize("chunks", ["one_sample", "one_chunk", "chunk_plus_one", "ragged"])
-    def test_matches_whole_array_kernel_and_run_sample(self, num_models, num_classes, chunks):
+    def test_matches_whole_array_kernel_and_run_sample(
+        self, tmp_path, num_models, num_classes, chunks
+    ):
         step = max(1, _CHUNK_VALUES // num_classes)
         num_samples = {
             "one_sample": 1,
@@ -266,6 +273,28 @@ class TestChunkedStageTables:
             assert single.prediction == tables.predictions[-1, sample]
             first = run_sample(logits[:, sample], stop_first, ds.costs_ms)
             assert first.prediction == tables.predictions[0, sample]
+
+        # the payload files give the same bytes, and stage k needs only models 1..k
+        save_dataset(ds, tmp_path)
+        for models in range(1, num_models + 1):
+            streamed = stage_tables(open_dataset(tmp_path / MANIFEST_NAME), models)
+            assert streamed.num_models == models
+            assert streamed.margins.tobytes() == tables.margins[:models].tobytes()
+            np.testing.assert_array_equal(streamed.predictions, tables.predictions[:models])
+            np.testing.assert_array_equal(streamed.wrong_counts, tables.wrong_counts[:models])
+            np.testing.assert_array_equal(streamed.cum_costs_ms, tables.cum_costs_ms[:models])
+
+    def test_prefix_build_reuses_a_larger_cached_build(self, dataset_factory):
+        ds = dataset_factory(np.random.default_rng(4), num_models=3)
+        first = stage_tables(ds, 2)
+        assert first.num_models == 2
+        full = stage_tables(ds)
+        assert full.num_models == 3
+        assert full.margins[:2].tobytes() == first.margins.tobytes()
+        assert stage_tables(ds, 1) is full
+        for bad in (0, 4):
+            with pytest.raises(ValueError, match=r"num_models must be in \[1, 3\]"):
+                stage_tables(ds, bad)
 
     def test_cold_build_memory_is_bounded_by_its_outputs(self, dataset_factory):
         # the whole-array build held about three float64 copies of the tensor (36 MB here)

@@ -2,12 +2,16 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from flexens.calibration import save_schedule
+from flexens.cascade_engine import ThresholdSchedule
 from flexens.cli import main
+from flexens.dataset_io import save_dataset
 
 GEN_ARGS = ["--models", "3", "--samples", "120", "--classes", "4", "--seed", "7"]
 
@@ -79,6 +83,16 @@ class TestValidate:
         capsys.readouterr()
         assert main(["validate", "--data", str(data)]) == 1
         assert capsys.readouterr().err.startswith("error: ")
+
+    def test_non_integer_manifest_key_names_the_manifest(self, tmp_path, capsys):
+        data = gen_dataset(tmp_path, "data")
+        manifest = data / "manifest.json"
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "num_samples": "x"}))
+        capsys.readouterr()
+        assert main(["validate", "--data", str(data)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert f"{manifest}: manifest key 'num_samples' must be an integer" in err
 
 
 class TestUsageErrors:
@@ -205,6 +219,25 @@ class TestPipeline:
         lines = report.read_text().splitlines()
         assert lines[1] == "schedule,0.8305,4.83847,0.414643,0.168966,2.9025"
         assert float(lines[1].split(",")[5]) < 7  # gated run skips models on average
+
+    def test_run_holds_its_outputs_not_the_tensor(self, tmp_path, dataset_factory):
+        # loading the dataset held its 6 MB float32 tensor
+        ds = dataset_factory(
+            np.random.default_rng(8), num_models=3, num_samples=5000, num_classes=100
+        )
+        save_dataset(ds, tmp_path / "data")
+        schedule = tmp_path / "schedule.json"
+        save_schedule(schedule, ThresholdSchedule.uniform(0.5, 3))
+        args = ["run", "--data", str(tmp_path / "data"), "--schedule", str(schedule),
+                "--out", str(tmp_path / "report.csv")]
+        tracemalloc.start()
+        try:
+            assert main(args) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        outputs = 16 * ds.num_models * ds.num_samples  # float64 margins, int64 predictions
+        assert peak < outputs + 4 * 2**20
 
     def test_run_schedule_length_mismatch_exits_1(self, tmp_path, capsys):
         data = gen_dataset(tmp_path, "data")

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import struct
 import tracemalloc
 
@@ -7,14 +8,17 @@ import numpy as np
 import pytest
 
 from flexens.calibration import save_schedule
-from flexens.cascade_engine import ThresholdSchedule, full_ensemble_predictions
+from flexens.cascade_engine import ThresholdSchedule, full_ensemble_predictions, stage_tables
+from flexens.cli import main
 from flexens.dataset_io import (
+    _CHUNK_VALUES,
     LABEL_MAGIC,
     LOGIT_MAGIC,
     MANIFEST_NAME,
     EnsembleDataset,
     import_csv,
     load_dataset,
+    open_dataset,
     save_dataset,
 )
 from flexens.errors import (
@@ -154,6 +158,20 @@ class TestBinaryRoundTrip:
         assert_datasets_equal(ds, loaded)
         assert peak < ds.logits.nbytes + 2 * 2**20
 
+    def test_save_writes_each_model_from_its_own_buffer(self, tmp_path, dataset_factory):
+        # joining the header to tobytes() held two transient copies of each model
+        ds = dataset_factory(
+            np.random.default_rng(9), num_models=2, num_samples=20000, num_classes=100
+        )
+        tracemalloc.start()
+        try:
+            save_dataset(ds, tmp_path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < ds.logits[0].nbytes + 2**20
+        assert_datasets_equal(ds, load_dataset(tmp_path / MANIFEST_NAME))
+
     def test_round_trip_preserves_predictions(self, tmp_path, seed42_dataset):
         save_dataset(seed42_dataset, tmp_path)
         reloaded = load_dataset(tmp_path / MANIFEST_NAME)
@@ -221,6 +239,14 @@ class TestLoadErrors:
         del doc["costs_ms"]
         manifest.write_text(json.dumps(doc))
         with pytest.raises(MalformedManifestError, match="costs_ms"):
+            load_dataset(manifest)
+
+    def test_non_integer_manifest_key_names_the_path(self, tmp_path):
+        manifest = _write_minimal_dir(tmp_path)
+        doc = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**doc, "num_samples": "x"}))
+        message = f"{manifest}: manifest key 'num_samples' must be an integer"
+        with pytest.raises(MalformedManifestError, match=f"^{re.escape(message)}$"):
             load_dataset(manifest)
 
     def test_single_class_manifest(self, tmp_path):
@@ -343,6 +369,105 @@ class TestLoadErrors:
         (tmp_path / "logits_000.ensl").unlink()
         with pytest.raises(FileNotFoundError):
             load_dataset(manifest)
+
+
+# three chunks of samples and a ragged tail at C = 100
+STREAM_CLASSES = 100
+STREAM_STEP = _CHUNK_VALUES // STREAM_CLASSES
+STREAM_SAMPLES = 3 * STREAM_STEP + 100
+LAST_CHUNK = 3 * STREAM_STEP
+
+
+def _streamed_dir(tmp_path, dataset_factory, logits=(), labels=(), costs=None):
+    """A saved 3-model dataset with `logits` [(model, sample, class, value)] and
+    `labels` [(sample, value)] written into its payloads, and optionally new costs."""
+    ds = dataset_factory(
+        np.random.default_rng(5), num_models=3, num_samples=STREAM_SAMPLES,
+        num_classes=STREAM_CLASSES,
+    )
+    save_dataset(ds, tmp_path)
+    for model, sample, class_index, value in logits:
+        with open(tmp_path / f"logits_{model:03d}.ensl", "r+b") as payload:
+            payload.seek(16 + 4 * (sample * STREAM_CLASSES + class_index))
+            payload.write(struct.pack("<f", value))
+    for sample, value in labels:
+        with open(tmp_path / "labels.ensy", "r+b") as payload:
+            payload.seek(12 + 4 * sample)
+            payload.write(struct.pack("<I", value))
+    manifest = tmp_path / MANIFEST_NAME
+    if costs is not None:
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "costs_ms": costs}))
+    return manifest
+
+
+def _raised(call):
+    with pytest.raises(ValidationError) as exc:
+        call()
+    return type(exc.value), str(exc.value)
+
+
+class TestStreamedChecks:
+    """open_dataset's pass reports the error load_dataset reports, whichever
+    chunk each bad value is in."""
+
+    @pytest.mark.parametrize(
+        "bad, error, message",
+        [
+            (
+                # the pass meets model 2's NaN first, in chunk 0
+                {"logits": [(2, 3, 7, float("nan")), (0, LAST_CHUNK + 5, 1, float("inf"))]},
+                NonFiniteLogitError,
+                f"non-finite logit at model=0, sample={LAST_CHUNK + 5}, class=1",
+            ),
+            (
+                {"logits": [(1, 40, 0, float("nan"))], "labels": [(2, STREAM_CLASSES)]},
+                NonFiniteLogitError,
+                "non-finite logit at model=1, sample=40, class=0",
+            ),
+            (
+                {"labels": [(LAST_CHUNK + 1, STREAM_CLASSES + 5)], "costs": [1.0, 0.0, 1.0]},
+                LabelOutOfRangeError,
+                f"label {STREAM_CLASSES + 5} at sample={LAST_CHUNK + 1} is outside [0, 100)",
+            ),
+            ({"costs": [1.0, 2.0, -1.0]}, NonPositiveCostError, "cost -1.0 for model=2"),
+        ],
+        ids=["earliest_model_wins", "nan_before_label", "label_before_cost", "cost"],
+    )
+    def test_same_error_as_load_dataset(
+        self, tmp_path, capsys, dataset_factory, bad, error, message
+    ):
+        manifest = _streamed_dir(tmp_path, dataset_factory, **bad)
+        expected = _raised(lambda: load_dataset(manifest))
+        assert expected[0] is error and expected[1].startswith(message)
+        assert _raised(lambda: open_dataset(manifest).check()) == expected
+        assert _raised(lambda: stage_tables(open_dataset(manifest))) == expected
+        assert _raised(lambda: stage_tables(open_dataset(manifest), 1)) == expected
+        capsys.readouterr()
+        assert main(["validate", "--data", str(tmp_path)]) == 1
+        assert capsys.readouterr().err == f"error: {expected[1]}\n"
+
+    def test_histogram_of_one_model_checks_every_payload(self, tmp_path, capsys, dataset_factory):
+        bad = [(2, LAST_CHUNK + 99, STREAM_CLASSES - 1, float("nan"))]
+        _streamed_dir(tmp_path, dataset_factory, logits=bad)
+        capsys.readouterr()
+        code = main(["histogram", "--data", str(tmp_path), "--ensemble-size", "1",
+                     "--out", str(tmp_path / "hist.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: non-finite logit at model=2, sample={LAST_CHUNK + 99}, class=99\n"
+        )
+        assert not (tmp_path / "hist.csv").exists()
+
+    def test_payload_shrinking_mid_pass(self, tmp_path, dataset_factory):
+        manifest = _streamed_dir(tmp_path, dataset_factory)
+        chunks = open_dataset(manifest).logit_chunks(3)
+        next(chunks)  # every payload is open and its first chunk read
+        path = tmp_path / "logits_001.ensl"
+        size = path.stat().st_size
+        path.write_bytes(path.read_bytes()[:-8])
+        message = f"logits_001.ensl: payload is {size - 8} bytes, expected {size}"
+        with pytest.raises(DimensionMismatchError, match=message):
+            list(chunks)
 
 
 class TestCsvImport:
