@@ -221,10 +221,14 @@ def load_schedule(path) -> ScheduleFile:
     calibration_data = doc.get("calibration_data")
     if calibration_data is not None and not isinstance(calibration_data, str):
         raise MalformedScheduleError(f"{p}: calibration_data must be a string when present")
+    # a truthy string such as "false" must not switch off run's same-split guard
+    allow_same_split = doc.get("allow_same_split")
+    if allow_same_split is not None and not isinstance(allow_same_split, bool):
+        raise MalformedScheduleError(f"{p}: allow_same_split must be true or false when present")
     return ScheduleFile(
         schedule=schedule,
         alpha=_optional_number("alpha"),
         grid_step=_optional_number("grid_step"),
         calibration_data=calibration_data,
-        allow_same_split=bool(doc.get("allow_same_split", False)),
+        allow_same_split=allow_same_split is True,
     )

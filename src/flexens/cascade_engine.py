@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset_io import DatasetFiles, EnsembleDataset, _chunk_samples
+from .dataset_io import DatasetFiles, EnsembleDataset
 from .errors import DimensionMismatchError, ScheduleMismatchError
 
 
@@ -183,12 +183,12 @@ def stage_tables(
         raise ValueError(f"num_models must be in [1, {source.num_models}], got {models}")
     tables = _TABLES_CACHE.get(source)
     if tables is None or tables.num_models < models:
-        num_samples, num_classes = source.num_samples, source.num_classes
-        margins = np.empty((models, num_samples), dtype=np.float64)
-        predictions = np.empty((models, num_samples), dtype=np.int64)
-        rows = min(_chunk_samples(num_classes), num_samples)
-        buffer = np.empty((models, rows, num_classes), dtype=np.float64)
+        margins = np.empty((models, source.num_samples), dtype=np.float64)
+        predictions = np.empty((models, source.num_samples), dtype=np.int64)
+        buffer = None
         for chunk, block in source.logit_chunks(models):
+            if buffer is None:  # the first chunk is the largest
+                buffer = np.empty(block.shape, dtype=np.float64)
             prefix = buffer[:, : block.shape[1]]
             np.copyto(prefix, block)
             # the same sequential order as np.cumsum(axis=0), several times faster here

@@ -19,25 +19,25 @@ relative to the manifest's directory and may not leave it (no absolute
 paths, no "..").
 
 A directory is read in one of two ways. load_dataset builds an
-EnsembleDataset, which holds the whole (N, M, C) tensor and is validated on
-construction; it is the library's entry point. open_dataset returns a
-DatasetFiles handle, which the CLI commands use: it holds the manifest, the
-payload paths, the labels and the costs, and leaves the logits on disk.
+EnsembleDataset, which holds the whole (N, M, C) tensor; it is the library's
+entry point. open_dataset returns a DatasetFiles handle, which the CLI
+commands use: it holds the manifest, the payload paths, the labels and the
+costs, and leaves the logits on disk. open_dataset checks the manifest, then
+every logit payload's header and file size against it, then the label
+payload's, before allocating anything the manifest sizes.
 
 Both are chunk sources for cascade_engine.stage_tables: logit_chunks yields
 the logits of consecutive chunks of about _CHUNK_VALUES values per model.
 An EnsembleDataset yields views of its tensor. A DatasetFiles handle reads
 each chunk from every logit payload, one contiguous byte range per payload
-since payloads are row-major by sample, into one reused float32 buffer.
+since payloads are row-major by sample, into one reused float32 buffer;
+load_dataset fills its tensor from that pass.
 
-Both ways check the same things and report the first failure in the same
-order: the manifest; every logit payload's header and file size against the
-manifest; the label payload's; every logit finite (the first bad value in
-(model, sample, class) order); every label in [0, C); every cost finite and
-positive. open_dataset checks the first three before allocating anything
-the manifest sizes. A DatasetFiles handle checks the last three in each
-logit_chunks pass: every chunk of every payload for finite values, then,
-once the pass has read them all, the labels and the costs.
+Every logit is checked by one pass over such chunks, _checked: a DatasetFiles
+handle runs it as logit_chunks reads, and an EnsembleDataset over its tensor
+on construction. It reports the first non-finite logit in (model, sample,
+class) order, then the first label outside [0, C), then the first cost that
+is not finite and positive, in working memory of about one chunk.
 """
 
 from __future__ import annotations
@@ -46,6 +46,7 @@ import json
 import math
 import os
 import struct
+from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import BinaryIO, Iterator, Sequence
@@ -74,22 +75,35 @@ LABEL_MAGIC = b"ENSY"
 _CHUNK_VALUES = 65536
 
 
-def _chunk_samples(num_classes: int) -> int:
-    """The number of samples in each chunk of a logit_chunks pass."""
-    return max(1, _CHUNK_VALUES // num_classes)
+def _sample_chunks(num_samples: int, num_classes: int) -> list[slice]:
+    """Consecutive slices of samples holding about _CHUNK_VALUES values per model;
+    the first is the largest."""
+    step = max(1, _CHUNK_VALUES // num_classes)
+    return [slice(start, min(start + step, num_samples)) for start in range(0, num_samples, step)]
 
 
-def _first_non_finite(logits: np.ndarray) -> tuple[int, ...] | None:
-    """The coordinates of the first NaN or inf in row-major order, or None."""
-    # min and max propagate NaN and reach any inf, so valid logits need no mask
-    if np.isfinite(logits.min()) and np.isfinite(logits.max()):
-        return None
-    return tuple(int(v) for v in np.argwhere(~np.isfinite(logits))[0])
+def _checked(
+    chunks, labels: np.ndarray, num_classes: int, costs: np.ndarray
+) -> Iterator[tuple[slice, np.ndarray]]:
+    """Pass on the (samples, logits) chunks of a pass, checking every logit finite,
+    then every label in [0, num_classes), then every cost finite and positive.
 
+    Once a chunk holds a non-finite value no more chunks are passed on, and the
+    pass raises at its end for the first one in (model, sample, class) order.
+    """
+    first_bad = None
+    for samples, block in chunks:
+        # min and max propagate NaN and reach any inf, so valid logits need no mask
+        if not (np.isfinite(block.min()) and np.isfinite(block.max())):
+            model, sample, column = np.unravel_index(np.argmin(np.isfinite(block)), block.shape)
+            # a later chunk may hold a bad value of an earlier model
+            bad = (int(model), samples.start + int(sample), int(column))
+            first_bad = bad if first_bad is None else min(first_bad, bad)
+        if first_bad is None:
+            yield samples, block
+    if first_bad is not None:
+        raise NonFiniteLogitError(*first_bad)
 
-def _check_labels_and_costs(labels: np.ndarray, num_classes: int, costs: np.ndarray) -> None:
-    """Reject the first label outside [0, num_classes), then the first cost that is
-    not finite and positive."""
     out_of_range = (labels < 0) | (labels >= num_classes)
     if out_of_range.any():
         sample = int(np.argmax(out_of_range))
@@ -142,10 +156,9 @@ class EnsembleDataset:
         raw_labels = np.asarray(self.labels)
         if raw_labels.dtype.kind not in "iu":
             raise ValidationError(f"labels must be integers, got dtype {raw_labels.dtype}")
-        labels = np.array(raw_labels, dtype=np.int64)
-        if labels.shape != (num_samples,):
+        if raw_labels.shape != (num_samples,):
             raise DimensionMismatchError(
-                f"labels must have shape ({num_samples},), got {labels.shape}"
+                f"labels must have shape ({num_samples},), got {raw_labels.shape}"
             )
 
         costs = np.array(self.costs_ms, dtype=np.float64)
@@ -154,14 +167,13 @@ class EnsembleDataset:
                 f"costs_ms must have shape ({num_models},), got {costs.shape}"
             )
 
-        bad = _first_non_finite(logits)
-        if bad is not None:
-            raise NonFiniteLogitError(*bad)
-        _check_labels_and_costs(labels, num_classes, costs)
-
+        object.__setattr__(self, "logits", logits)
+        # the caller's labels are range-checked before an int64 cast could wrap them
+        for _ in _checked(self.logit_chunks(num_models), raw_labels, num_classes, costs):
+            pass
+        labels = raw_labels.astype(np.int64)
         for arr in (logits, labels, costs):
             arr.setflags(write=False)
-        object.__setattr__(self, "logits", logits)
         object.__setattr__(self, "labels", labels)
         object.__setattr__(self, "costs_ms", costs)
 
@@ -179,10 +191,8 @@ class EnsembleDataset:
 
     def logit_chunks(self, num_models: int) -> Iterator[tuple[slice, np.ndarray]]:
         """Yield (samples, logits[:num_models, samples]) over consecutive chunks of samples."""
-        step = _chunk_samples(self.num_classes)
-        for start in range(0, self.num_samples, step):
-            chunk = slice(start, min(start + step, self.num_samples))
-            yield chunk, self.logits[:num_models, chunk]
+        for samples in _sample_chunks(self.num_samples, self.num_classes):
+            yield samples, self.logits[:num_models, samples]
 
 
 @dataclass(frozen=True)
@@ -364,21 +374,15 @@ def _fill(payload: BinaryIO, path: Path, out: np.ndarray, size: int) -> None:
         raise DimensionMismatchError(f"{path}: payload is {offset + read} bytes, expected {size}")
 
 
-def _read_payload(path: Path, magic: bytes, out: np.ndarray) -> None:
-    """Fill `out` from a payload whose header must declare out.shape."""
-    with _open_payload(path, magic, out.shape) as payload:
-        _fill(payload, path, out, payload.tell() + out.nbytes)
-
-
 @dataclass(frozen=True, eq=False)
 class DatasetFiles:
     """A dataset directory opened by open_dataset; the logits stay on disk.
 
-    Every payload's header and size, and the labels, were checked at open.
-    Each logit_chunks pass reads every logit payload, and checks what
-    EnsembleDataset checks on construction: finite logits, then labels in
-    range, then positive costs. Until a pass has finished, the label values
-    and the costs are unchecked.
+    Every payload's header and size were checked, and the labels read, at
+    open. Each logit_chunks pass reads every logit payload and runs the
+    check an EnsembleDataset runs on construction: finite logits, then labels
+    in range, then positive costs. Until a pass has finished, the label
+    values and the costs are unchecked.
     """
 
     manifest: DatasetManifest
@@ -402,37 +406,28 @@ class DatasetFiles:
         """Yield (samples, logits[:num_models, samples]) over consecutive chunks of
         samples, read from the payloads into one reused float32 buffer.
 
-        Every payload is read and checked whatever num_models is. Once a chunk
-        holds a non-finite value no more chunks are yielded, and the pass raises
-        at its end for the first one in (model, sample, class) order.
+        Every payload is read and checked whatever num_models is.
         """
-        num_samples, num_classes = self.num_samples, self.num_classes
-        step = _chunk_samples(num_classes)
-        size = struct.calcsize(_header_format(2)) + 4 * num_samples * num_classes
-        buffer = np.empty((self.num_models, min(step, num_samples), num_classes), dtype="<f4")
-        first_bad = None
-        payloads = []
-        try:
-            for path in self.logit_paths:
-                payloads.append(_open_payload(path, LOGIT_MAGIC, (num_samples, num_classes)))
-            for start in range(0, num_samples, step):
-                chunk = slice(start, min(start + step, num_samples))
-                block = buffer[:, : chunk.stop - start]
+        chunks = _checked(self._read_chunks(), self.labels, self.num_classes, self.costs_ms)
+        for samples, block in chunks:
+            yield samples, block[:num_models]
+
+    def _read_chunks(self) -> Iterator[tuple[slice, np.ndarray]]:
+        """Read every payload's byte range of each chunk of samples into one buffer."""
+        shape = (self.num_samples, self.num_classes)
+        size = struct.calcsize(_header_format(2)) + 4 * math.prod(shape)
+        chunks = _sample_chunks(*shape)
+        buffer = np.empty((self.num_models, chunks[0].stop, shape[1]), dtype="<f4")
+        with ExitStack() as stack:
+            payloads = [
+                stack.enter_context(_open_payload(path, LOGIT_MAGIC, shape))
+                for path in self.logit_paths
+            ]
+            for samples in chunks:
+                block = buffer[:, : samples.stop - samples.start]
                 for path, payload, out in zip(self.logit_paths, payloads, block):
                     _fill(payload, path, out, size)
-                bad = _first_non_finite(block)
-                if bad is not None:
-                    # a later chunk may hold a bad value of an earlier model
-                    bad = (bad[0], start + bad[1], bad[2])
-                    first_bad = bad if first_bad is None else min(first_bad, bad)
-                if first_bad is None:
-                    yield chunk, block[:num_models]
-        finally:
-            for payload in payloads:
-                payload.close()
-        if first_bad is not None:
-            raise NonFiniteLogitError(*first_bad)
-        _check_labels_and_costs(self.labels, num_classes, self.costs_ms)
+                yield samples, block
 
     def check(self) -> None:
         """Run the checking pass alone: read every logit, build nothing."""
@@ -457,8 +452,10 @@ def open_dataset(manifest_path) -> DatasetFiles:
     logit_paths = tuple(path.parent / name for name in manifest.logit_files)
     for logit_path in logit_paths:
         _open_payload(logit_path, LOGIT_MAGIC, shape).close()
+    label_path = path.parent / manifest.label_file
     raw_labels = np.empty(manifest.num_samples, dtype="<u4")
-    _read_payload(path.parent / manifest.label_file, LABEL_MAGIC, raw_labels)
+    with _open_payload(label_path, LABEL_MAGIC, raw_labels.shape) as payload:
+        _fill(payload, label_path, raw_labels, payload.tell() + raw_labels.nbytes)
     labels = raw_labels.astype(np.int64)
     costs = np.array(manifest.costs_ms, dtype=np.float64)
     for arr in (labels, costs):
@@ -469,13 +466,14 @@ def open_dataset(manifest_path) -> DatasetFiles:
 def load_dataset(manifest_path) -> EnsembleDataset:
     """Load and fully validate a dataset directory given its manifest path.
 
-    The dataset holds the whole (N, M, C) tensor; no tensor is allocated
-    before open_dataset has checked every payload against the manifest.
+    The dataset holds the whole (N, M, C) tensor, filled from a checked
+    logit_chunks pass; no tensor is allocated before open_dataset has
+    checked every payload against the manifest.
     """
     files = open_dataset(manifest_path)
     logits = np.empty((files.num_models, files.num_samples, files.num_classes), dtype="<f4")
-    for logit_path, out in zip(files.logit_paths, logits):
-        _read_payload(logit_path, LOGIT_MAGIC, out)
+    for samples, block in files.logit_chunks(files.num_models):
+        logits[:, samples] = block
     logits.setflags(write=False)  # handed to EnsembleDataset without a copy
     return EnsembleDataset(logits=logits, labels=files.labels, costs_ms=files.costs_ms)
 

@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -289,3 +292,32 @@ class TestScheduleFile:
         path.write_text('{"version": 1, "thresholds": "nope"}')
         with pytest.raises(MalformedScheduleError, match="thresholds"):
             load_schedule(path)
+
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (None, "schedule must be a JSON object"),
+            ({"alpha": "0.5"}, "alpha must be a number when present"),
+            ({"grid_step": True}, "grid_step must be a number when present"),
+            ({"calibration_data": 5}, "calibration_data must be a string when present"),
+            ({"allow_same_split": "false"}, "allow_same_split must be true or false when present"),
+            ({"allow_same_split": "no"}, "allow_same_split must be true or false when present"),
+            ({"allow_same_split": 1}, "allow_same_split must be true or false when present"),
+            ({"allow_same_split": 0}, "allow_same_split must be true or false when present"),
+        ],
+        ids=["not_object", "alpha", "grid_step", "calibration_data", "allow_same_split_string",
+             "allow_same_split_no", "allow_same_split_one", "allow_same_split_zero"],
+    )
+    def test_rejections_name_the_path(self, tmp_path, extra, message):
+        path = tmp_path / "schedule.json"
+        doc = [1] if extra is None else {"version": 1, "thresholds": [0.5], **extra}
+        path.write_text(json.dumps(doc))
+        message = f"{path}: {message}"
+        with pytest.raises(MalformedScheduleError, match=f"^{re.escape(message)}$"):
+            load_schedule(path)
+
+    @pytest.mark.parametrize("value, expected", [(None, False), (False, False), (True, True)])
+    def test_allow_same_split_takes_a_boolean_or_null(self, tmp_path, value, expected):
+        path = tmp_path / "schedule.json"
+        path.write_text(json.dumps({"version": 1, "thresholds": [0.5], "allow_same_split": value}))
+        assert load_schedule(path).allow_same_split is expected

@@ -85,6 +85,10 @@ class TestRunSample:
         with pytest.raises(ScheduleMismatchError):
             run_sample([[1.0, 2.0], [1.0, 2.0]], ThresholdSchedule((0.5, 0.5)), [1.0, 1.0])
 
+    def test_rejects_single_class(self):
+        with pytest.raises(DimensionMismatchError, match="^need at least 2 classes$"):
+            run_sample([[1.0], [2.0]], ThresholdSchedule((0.5,)), [1.0, 1.0])
+
 
 class TestRunDataset:
     def test_unreachable_threshold_equals_full_ensemble(self, seed42_dataset):

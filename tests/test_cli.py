@@ -174,6 +174,22 @@ class TestPipeline:
                      "--out", str(report), "--allow-same-split"]) == 0
         assert report.exists()
 
+    def test_non_boolean_same_split_opt_in_is_rejected(self, tmp_path, capsys):
+        train = gen_dataset(tmp_path, "train")
+        schedule = tmp_path / "schedule.json"
+        schedule.write_text(json.dumps({
+            "version": 1, "thresholds": [0.5, 0.5],
+            "calibration_data": os.path.realpath(train), "allow_same_split": "false",
+        }))
+        report = tmp_path / "report.csv"
+        capsys.readouterr()
+        assert main(["run", "--data", str(train), "--schedule", str(schedule),
+                     "--out", str(report)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {schedule}: allow_same_split must be true or false when present\n"
+        )
+        assert not report.exists()
+
     def test_calibrate_side_opt_in_unlocks_run(self, tmp_path):
         train = gen_dataset(tmp_path, "train")
         schedule = tmp_path / "schedule.json"

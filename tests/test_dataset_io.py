@@ -98,6 +98,28 @@ class TestValidation:
         with pytest.raises(ValueError):
             ds.labels[0] = 1
 
+    @pytest.mark.parametrize(
+        "shape, labels, costs, message",
+        [
+            ((1, 2), [0], [1], "logits must be a 3-D (models, samples, classes) tensor, got 2-D"),
+            ((0, 1, 2), [0], [], "need at least 1 model"),
+            ((1, 0, 2), [], [1.0], "need at least 1 sample"),
+            ((1, 2, 2), [0], [1.0], "labels must have shape (2,), got (1,)"),
+            ((2, 1, 2), [0], [1.0], "costs_ms must have shape (2,), got (1,)"),
+        ],
+        ids=["not_3d", "no_models", "no_samples", "label_shape", "cost_shape"],
+    )
+    def test_shape_rejections(self, shape, labels, costs, message):
+        with pytest.raises(DimensionMismatchError, match=f"^{re.escape(message)}$"):
+            EnsembleDataset(np.zeros(shape, np.float32), np.array(labels, np.int64), costs)
+
+    def test_label_error_carries_the_callers_value(self):
+        # 2**64 - 1 wraps to -1 in an int64 cast
+        message = f"label {2**64 - 1} at sample=0 is outside [0, 2)"
+        with pytest.raises(LabelOutOfRangeError, match=f"^{re.escape(message)}$") as exc:
+            EnsembleDataset(np.zeros((1, 1, 2), np.float32), np.array([2**64 - 1], np.uint64), [1])
+        assert exc.value.value == 2**64 - 1
+
     def test_caller_arrays_are_copied(self):
         logits = np.zeros((1, 2, 2), np.float32)
         frozen_view = logits[:]
@@ -157,6 +179,34 @@ class TestBinaryRoundTrip:
             tracemalloc.stop()
         assert_datasets_equal(ds, loaded)
         assert peak < ds.logits.nbytes + 2 * 2**20
+
+    def test_non_finite_model_is_rejected_in_bounded_memory(self, tmp_path):
+        # a mask of the whole tensor, or a list of every bad coordinate, takes tens of MB
+        logits = np.zeros((3, 20000, 100), np.float32)
+        logits[1] = np.nan
+        logits.setflags(write=False)  # adopted without a copy
+        expected = "non-finite logit at model=1, sample=0, class=0"
+        tracemalloc.start()
+        try:
+            with pytest.raises(NonFiniteLogitError, match=f"^{expected}$"):
+                EnsembleDataset(logits, np.zeros(20000, np.int64), np.ones(3))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+        save_dataset(EnsembleDataset(logits[[0, 0, 2]], np.zeros(20000, np.int64), np.ones(3)),
+                     tmp_path)
+        header = LOGIT_MAGIC + struct.pack("<III", 1, 20000, 100)
+        (tmp_path / "logits_001.ensl").write_bytes(header + logits[1].tobytes())
+        tracemalloc.start()
+        try:
+            with pytest.raises(NonFiniteLogitError, match=f"^{expected}$"):
+                load_dataset(tmp_path / MANIFEST_NAME)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < logits.nbytes + 4 * 2**20
 
     def test_save_writes_each_model_from_its_own_buffer(self, tmp_path, dataset_factory):
         # joining the header to tobytes() held two transient copies of each model
@@ -246,6 +296,32 @@ class TestLoadErrors:
         doc = json.loads(manifest.read_text())
         manifest.write_text(json.dumps({**doc, "num_samples": "x"}))
         message = f"{manifest}: manifest key 'num_samples' must be an integer"
+        with pytest.raises(MalformedManifestError, match=f"^{re.escape(message)}$"):
+            load_dataset(manifest)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: [doc], "manifest must be a JSON object"),
+            (lambda doc: {**doc, "num_models": 0}, "num_models and num_samples must be >= 1"),
+            (lambda doc: {**doc, "num_samples": 0}, "num_models and num_samples must be >= 1"),
+            (lambda doc: {**doc, "logit_files": "logits_000.ensl"},
+             "logit_files must be a list of strings"),
+            (lambda doc: {**doc, "logit_files": [0]}, "logit_files must be a list of strings"),
+            (lambda doc: {**doc, "logit_files": ["a.ensl", "b.ensl"]},
+             "expected 1 logit files, found 2"),
+            (lambda doc: {**doc, "label_file": 3}, "label_file must be a string"),
+            (lambda doc: {**doc, "costs_ms": 1.0}, "costs_ms must be a list of numbers"),
+            (lambda doc: {**doc, "costs_ms": [True]}, "costs_ms must be a list of numbers"),
+            (lambda doc: {**doc, "costs_ms": [1.0, 2.0]}, "expected 1 costs, found 2"),
+        ],
+        ids=["not_object", "no_models", "no_samples", "logit_files_type", "logit_file_type",
+             "logit_files_count", "label_file_type", "costs_type", "cost_type", "costs_count"],
+    )
+    def test_manifest_rejections_name_the_path(self, tmp_path, edit, message):
+        manifest = _write_minimal_dir(tmp_path)
+        manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+        message = f"{manifest}: {message}"
         with pytest.raises(MalformedManifestError, match=f"^{re.escape(message)}$"):
             load_dataset(manifest)
 
@@ -531,6 +607,31 @@ class TestCsvImport:
         labels.write_text("0\n1\n")
         with pytest.raises(DimensionMismatchError, match="disagrees"):
             import_csv([a, b], labels, [1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "logit_text, label_text, costs, error, message",
+        [
+            (None, "0\n", [], DimensionMismatchError, "need at least one logits CSV"),
+            ("0,0\n", "0\n", [1.0, 2.0], DimensionMismatchError,
+             "expected 1 costs, got shape (2,)"),
+            ("", "0\n", [1.0], CsvParseError,
+             "{logits}: row 0, column 0: file contains no data rows"),
+            ("0,0\n1,1\n", "0\n", [1.0], DimensionMismatchError,
+             "{labels}: 1 label rows for 2 samples"),
+            ("0,0\n", "0,1\n", [1.0], RaggedRowsError,
+             "{labels}: row 0 has 2 columns, expected 1"),
+        ],
+        ids=["no_files", "cost_shape", "empty_file", "label_row_count", "ragged_label_row"],
+    )
+    def test_rejections(self, tmp_path, logit_text, label_text, costs, error, message):
+        logits = tmp_path / "m0.csv"
+        labels = tmp_path / "y.csv"
+        if logit_text is not None:
+            logits.write_text(logit_text)
+        labels.write_text(label_text)
+        message = message.format(logits=logits, labels=labels)
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            import_csv([] if logit_text is None else [logits], labels, costs)
 
     def test_cross_format_round_trip(self, tmp_path, dataset_factory):
         # repr() of the float64 view of a float32 value parses back to the

@@ -74,6 +74,10 @@ class TestAverageLogits:
         with pytest.raises(ValueError, match="length mismatch"):
             average_logits([[1.0, 2.0], [1.0, 2.0, 3.0]])
 
+    def test_non_vector_rejected(self):
+        with pytest.raises(ValueError, match="^vector 1 is not 1-D$"):
+            average_logits([[1.0, 2.0], [[1.0, 2.0]]])
+
     @given(_vector, st.integers(min_value=1, max_value=8))
     def test_copies_average_to_identity(self, z, k):
         out = average_logits([z] * k)
