@@ -31,13 +31,14 @@ the logits of consecutive chunks of about _CHUNK_VALUES values per model.
 An EnsembleDataset yields views of its tensor. A DatasetFiles handle reads
 each chunk from every logit payload, one contiguous byte range per payload
 since payloads are row-major by sample, into one reused float32 buffer;
-load_dataset fills its tensor from that pass.
+load_dataset has the same reads fill its tensor in place.
 
 Every logit is checked by one pass over such chunks, _checked: a DatasetFiles
 handle runs it as logit_chunks reads, and an EnsembleDataset over its tensor
-on construction. It reports the first non-finite logit in (model, sample,
-class) order, then the first label outside [0, C), then the first cost that
-is not finite and positive, in working memory of about one chunk.
+on construction, which is the one check of load_dataset's tensor. It reports
+the first non-finite logit in (model, sample, class) order, then the first
+label outside [0, C), then the first cost that is not finite and positive, in
+working memory of about one chunk.
 """
 
 from __future__ import annotations
@@ -122,7 +123,7 @@ class EnsembleDataset:
     Instances are validated on construction and their arrays are frozen
     (non-writeable), so a dataset can be shared across concurrent readers.
     Input arrays are copied, except a read-only logits array that owns its
-    memory (as load_dataset builds), which is adopted as is.
+    memory (as load_dataset and generate build), which is adopted as is.
     """
 
     logits: np.ndarray  # (num_models, num_samples, num_classes) float32
@@ -131,10 +132,10 @@ class EnsembleDataset:
 
     def __post_init__(self):
         raw = self.logits
-        # A read-only array that owns its memory (load_dataset's tensor) is adopted
-        # without a copy: writing to it takes the same deliberate unfreezing as
-        # writing to a dataset's own arrays. Anything else is copied, so a
-        # caller's later writes never reach the dataset.
+        # A read-only array that owns its memory (load_dataset's or generate's
+        # tensor) is adopted without a copy: writing to it takes the same
+        # deliberate unfreezing as writing to a dataset's own arrays. Anything
+        # else is copied, so a caller's later writes never reach the dataset.
         if isinstance(raw, np.ndarray) and raw.flags.owndata and not raw.flags.writeable:
             logits = np.asarray(raw, dtype=np.float32, order="C")
         else:
@@ -412,19 +413,24 @@ class DatasetFiles:
         for samples, block in chunks:
             yield samples, block[:num_models]
 
-    def _read_chunks(self) -> Iterator[tuple[slice, np.ndarray]]:
-        """Read every payload's byte range of each chunk of samples into one buffer."""
+    def _read_chunks(self, tensor=None) -> Iterator[tuple[slice, np.ndarray]]:
+        """Read every payload's byte range of each chunk of samples into one reused
+        buffer, or into that chunk of `tensor`, an (N, M, C) float32 array."""
         shape = (self.num_samples, self.num_classes)
         size = struct.calcsize(_header_format(2)) + 4 * math.prod(shape)
         chunks = _sample_chunks(*shape)
-        buffer = np.empty((self.num_models, chunks[0].stop, shape[1]), dtype="<f4")
+        if tensor is None:
+            buffer = np.empty((self.num_models, chunks[0].stop, shape[1]), dtype="<f4")
         with ExitStack() as stack:
             payloads = [
                 stack.enter_context(_open_payload(path, LOGIT_MAGIC, shape))
                 for path in self.logit_paths
             ]
             for samples in chunks:
-                block = buffer[:, : samples.stop - samples.start]
+                if tensor is None:
+                    block = buffer[:, : samples.stop - samples.start]
+                else:
+                    block = tensor[:, samples]
                 for path, payload, out in zip(self.logit_paths, payloads, block):
                     _fill(payload, path, out, size)
                 yield samples, block
@@ -466,14 +472,14 @@ def open_dataset(manifest_path) -> DatasetFiles:
 def load_dataset(manifest_path) -> EnsembleDataset:
     """Load and fully validate a dataset directory given its manifest path.
 
-    The dataset holds the whole (N, M, C) tensor, filled from a checked
-    logit_chunks pass; no tensor is allocated before open_dataset has
-    checked every payload against the manifest.
+    The dataset holds the whole (N, M, C) tensor, read in place by the reads
+    of a logit_chunks pass and checked once, by the EnsembleDataset; no tensor
+    is allocated before open_dataset has checked every payload.
     """
     files = open_dataset(manifest_path)
     logits = np.empty((files.num_models, files.num_samples, files.num_classes), dtype="<f4")
-    for samples, block in files.logit_chunks(files.num_models):
-        logits[:, samples] = block
+    for _ in files._read_chunks(logits):
+        pass
     logits.setflags(write=False)  # handed to EnsembleDataset without a copy
     return EnsembleDataset(logits=logits, labels=files.labels, costs_ms=files.costs_ms)
 

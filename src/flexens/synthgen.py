@@ -21,6 +21,12 @@ from its config alone:
   normals in model-major (model, sample, class) order. Noise draws are
   consumed even when noise_sigma is zero, so the stream layout does not
   depend on sigma.
+
+That definition is the one the scalar Xoshiro256PlusPlus class steps
+through word by word; generate computes the same words and the same floats
+faster. It draws the stream in parallel numpy lanes, each started by
+jumping the state ahead, and calls math.log1p, math.cos and math.sin once
+per value, since numpy's SIMD versions may round differently.
 """
 
 from __future__ import annotations
@@ -39,6 +45,7 @@ DEFAULT_COST_MS = 1.667
 
 _MASK64 = (1 << 64) - 1
 _TWO_PI = 2.0 * math.pi
+_SCALAR_WORDS = 2048  # up to this many words the scalar generator is the faster
 
 
 class Xoshiro256PlusPlus:
@@ -76,19 +83,52 @@ class Xoshiro256PlusPlus:
         return (self.next_uint64() >> 11) * 2.0**-53
 
 
-def _standard_normals(rng: Xoshiro256PlusPlus, count: int) -> list[float]:
-    out: list[float] = []
-    append = out.append
-    sqrt, log1p, cos, sin = math.sqrt, math.log1p, math.cos, math.sin
-    for _ in range((count + 1) // 2):
-        u1 = rng.next_float()
-        u2 = rng.next_float()
-        radius = sqrt(-2.0 * log1p(-u1))  # 1 - u1 is in (0, 1], so this is finite
-        angle = _TWO_PI * u2
-        append(radius * cos(angle))
-        append(radius * sin(angle))
-    del out[count:]
-    return out
+def _step(state: np.ndarray) -> np.ndarray:
+    """Step every column of a (4, lanes) uint64 state in place; return each lane's output."""
+    s0, s1, s2, s3 = state
+    t = s0 + s3
+    result = ((t << 23) | (t >> 41)) + s0
+    shifted = s1 << 17
+    s2 ^= s0
+    s3 ^= s1
+    s1 ^= s2
+    s0 ^= s3
+    s2 ^= shifted
+    s3[:] = (s3 << 45) | (s3 >> 19)
+    return result
+
+
+def _lane_words(seed: int, count: int, lanes: int) -> np.ndarray:
+    """The first `count` Xoshiro256PlusPlus(seed).next_uint64() words, drawn in lanes.
+
+    Lane j draws words j*T .. j*T + T - 1, T = ceil(count / lanes). The state
+    transition A is linear over GF(2), so lane j starts at A^T applied j times
+    to the seeded state, and column i of A^T is unit state i stepped T times.
+    """
+    steps = -(-count // lanes)
+    rng = Xoshiro256PlusPlus(seed)
+    if lanes == 1:  # the scalar generator: numpy's per-call overhead dominates short draws
+        return np.array([rng.next_uint64() for _ in range(count)], dtype=np.uint64)
+    # row i holds the unit state of bit i: word i // 64, bit i % 64
+    unit = np.packbits(np.eye(256, dtype=bool), axis=1, bitorder="little").view("<u8")
+    jump = np.ascontiguousarray(unit.T, dtype=np.uint64)
+    for _ in range(steps):
+        _step(jump)
+    states = np.empty((4, lanes), dtype=np.uint64)
+    # an explicit dtype, so no numpy version infers another for words of 2**63 and above
+    states[:, 0] = np.array([rng._s0, rng._s1, rng._s2, rng._s3], dtype=np.uint64)
+    for j in range(1, lanes):
+        bits = np.unpackbits(states[:, j - 1].astype("<u8").view(np.uint8), bitorder="little")
+        states[:, j] = np.bitwise_xor.reduce(jump[:, bits.astype(bool)], axis=1)
+    words = np.empty((lanes, steps), dtype=np.uint64)
+    for t in range(steps):
+        words[:, t] = _step(states)
+    return words.reshape(-1)[:count]
+
+
+def _each(func, values: np.ndarray) -> np.ndarray:
+    """func (a math function) of every value, so no bit depends on numpy's SIMD paths."""
+    return np.fromiter(map(func, memoryview(values)), dtype=np.float64, count=values.size)
 
 
 @dataclass(frozen=True)
@@ -135,22 +175,29 @@ class SynthConfig:
 def generate(config: SynthConfig) -> EnsembleDataset:
     """Deterministically generate a dataset from the config (see module docs)."""
     n, m, c = config.num_models, config.num_samples, config.num_classes
-    rng = Xoshiro256PlusPlus(config.seed)
+    pairs = (n * m * c + 1) // 2
+    count = 2 * m + 2 * pairs
+    lanes = math.isqrt(count) if count > _SCALAR_WORDS else 1
+    uniforms = (_lane_words(config.seed, count, lanes) >> 11) * 2.0**-53
 
-    # min() guards the theoretical case where u * c rounds up to c
-    labels = np.array(
-        [min(int(rng.next_float() * c), c - 1) for _ in range(m)], dtype=np.int64
-    )
-    difficulties = np.array([rng.next_float() for _ in range(m)], dtype=np.float64)
+    # minimum() guards the theoretical case where u * c rounds up to c
+    labels = np.minimum((uniforms[:m] * c).astype(np.int64), c - 1)
+    difficulties = uniforms[m : 2 * m]
 
     base = np.zeros((m, c), dtype=np.float64)
     base[np.arange(m), labels] = config.signal_scale * (1.0 - difficulties)
 
-    noise = np.array(_standard_normals(rng, n * m * c), dtype=np.float64).reshape(n, m, c)
-    logits = base[np.newaxis, :, :] + config.noise_sigma * noise
+    normals = uniforms[2 * m :]  # each (u1, u2) pair is overwritten by its two normals
+    # 1 - u1 is in (0, 1], so the radius is finite
+    radius = np.sqrt(-2.0 * _each(math.log1p, -normals[0::2]))
+    angle = _TWO_PI * normals[1::2]
+    normals[0::2] = radius * _each(math.cos, angle)
+    normals[1::2] = radius * _each(math.sin, angle)
+    logits = normals[: n * m * c].reshape(n, m, c)
+    logits *= config.noise_sigma
+    logits += base  # the same sums as base + sigma * noise: IEEE addition commutes
 
-    return EnsembleDataset(
-        logits=logits.astype(np.float32),
-        labels=labels,
-        costs_ms=np.array(config.resolved_costs(), dtype=np.float64),
-    )
+    tensor = logits.astype(np.float32)
+    tensor.setflags(write=False)  # read-only and owning its memory: adopted without a copy
+    costs = np.array(config.resolved_costs(), dtype=np.float64)
+    return EnsembleDataset(logits=tensor, labels=labels, costs_ms=costs)

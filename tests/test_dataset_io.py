@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from flexens import dataset_io
 from flexens.calibration import save_schedule
 from flexens.cascade_engine import ThresholdSchedule, full_ensemble_predictions, stage_tables
 from flexens.cli import main
@@ -179,6 +180,21 @@ class TestBinaryRoundTrip:
             tracemalloc.stop()
         assert_datasets_equal(ds, loaded)
         assert peak < ds.logits.nbytes + 2 * 2**20
+
+    def test_load_checks_each_logit_once(self, tmp_path, monkeypatch, dataset_factory):
+        passes = []
+
+        def counting(chunks, *args):
+            passes.append(args)
+            return checked(chunks, *args)
+
+        checked = dataset_io._checked
+        monkeypatch.setattr(dataset_io, "_checked", counting)
+        ds = dataset_factory(np.random.default_rng(4), num_samples=3 * _CHUNK_VALUES // 4 + 1)
+        save_dataset(ds, tmp_path)
+        passes.clear()
+        assert_datasets_equal(ds, load_dataset(tmp_path / MANIFEST_NAME))
+        assert len(passes) == 1
 
     def test_non_finite_model_is_rejected_in_bounded_memory(self, tmp_path):
         # a mask of the whole tensor, or a list of every bad coordinate, takes tens of MB

@@ -1,14 +1,50 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
+from flexens import synthgen
 from flexens.cascade_engine import stage_tables
-from flexens.dataset_io import MANIFEST_NAME, save_dataset
+from flexens.dataset_io import MANIFEST_NAME, EnsembleDataset, save_dataset
 from flexens.errors import InvalidConfigError
 from flexens.synthgen import DEFAULT_COST_MS, SynthConfig, Xoshiro256PlusPlus, generate
 
 # regression constants pinned from the first verified run of the generator
 SEED42_ACCURACY_K1 = 0.6104
 SEED42_ACCURACY_K7 = 0.855
+
+# sha256 of logits.tobytes() + labels.tobytes() of generate((N, M, C, seed)),
+# pinned from the scalar generator, one Xoshiro256PlusPlus word at a time
+PINNED_GENERATE = {
+    (7, 10000, 10, 42): "4570ad4a7253f313f297ae38e115b6d855b8a0be85bea793e38b9e323cde4eef",
+    (7, 10000, 10, 43): "42391bacf936a93450d76dcabbf8c97f2d56e6c55df338296e5d8e19a858181e",
+    # odd normal counts: 21021 drawn in lanes, 105 by the scalar generator
+    (3, 1001, 7, 5): "1bebd157b8e9d7ce2fc830de36756999277f1bbd42942d3773db9e9e456a85c5",
+    (3, 7, 5, 0): "00077afa575bb5dd0a24738c7891b1863ba7dd3a44b3f23b7b58dab5fe443df9",
+    (5, 333, 3, 2**64 - 1): "969aea7f20ddbfd3f43dc41d7b885e51ae34c1920cac983799f18b34e3dce294",
+}
+
+
+def scalar_words(seed: int, count: int) -> list[int]:
+    rng = Xoshiro256PlusPlus(seed)
+    return [rng.next_uint64() for _ in range(count)]
+
+
+def scalar_generate(n, m, c, seed, scale=4.0, sigma=1.0):
+    """The documented recipe with one scalar word and one math call at a time."""
+    rng = Xoshiro256PlusPlus(seed)
+    labels = np.array([min(int(rng.next_float() * c), c - 1) for _ in range(m)])
+    difficulties = np.array([rng.next_float() for _ in range(m)])
+    normals = []
+    for _ in range((n * m * c + 1) // 2):
+        u1, u2 = rng.next_float(), rng.next_float()
+        radius = math.sqrt(-2.0 * math.log1p(-u1))
+        normals += [radius * math.cos(2.0 * math.pi * u2), radius * math.sin(2.0 * math.pi * u2)]
+    base = np.zeros((m, c))
+    base[np.arange(m), labels] = scale * (1.0 - difficulties)
+    noise = np.array(normals[: n * m * c]).reshape(n, m, c)
+    return (base[np.newaxis] + sigma * noise).astype(np.float32), labels
 
 
 class TestConfigValidation:
@@ -58,6 +94,75 @@ class TestDeterminism:
         a = generate(SynthConfig(num_models=2, num_samples=50, num_classes=3, seed=1))
         b = generate(SynthConfig(num_models=2, num_samples=50, num_classes=3, seed=2))
         assert a.logits.tobytes() != b.logits.tobytes()
+
+
+class TestPinnedBytes:
+    @pytest.mark.parametrize("n,m,c,seed", list(PINNED_GENERATE))
+    def test_generate_bytes(self, request, n, m, c, seed):
+        if (n, m, c, seed) == (7, 10000, 10, 42):
+            ds = request.getfixturevalue("seed42_dataset")
+        else:
+            ds = generate(SynthConfig(num_models=n, num_samples=m, num_classes=c, seed=seed))
+        digest = hashlib.sha256(ds.logits.tobytes() + ds.labels.tobytes()).hexdigest()
+        assert digest == PINNED_GENERATE[(n, m, c, seed)]
+
+    def test_tensor_is_adopted_without_a_copy(self, monkeypatch):
+        handed = []
+
+        def spy(**kwargs):
+            handed.append(kwargs["logits"])
+            return EnsembleDataset(**kwargs)
+
+        monkeypatch.setattr(synthgen, "EnsembleDataset", spy)
+        ds = generate(SynthConfig(num_models=2, num_samples=50, num_classes=3, seed=1))
+        assert ds.logits is handed[0]
+        assert ds.logits.flags.owndata and not ds.logits.flags.writeable
+
+
+class TestLaneStream:
+    """_lane_words against Xoshiro256PlusPlus.next_uint64, one word at a time."""
+
+    LANES = 7
+
+    @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
+    @pytest.mark.parametrize(
+        "count", [1, LANES - 1, LANES, LANES + 1, 5 * LANES - 1, 5 * LANES + 1]
+    )
+    def test_counts_around_lane_edges(self, seed, count):
+        words = synthgen._lane_words(seed, count, self.LANES)
+        assert words.dtype == np.uint64 and words.shape == (count,)
+        assert words.tolist() == scalar_words(seed, count)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_lane_starts_many_jumps_apart(self, seed):
+        # lane j starts j jumps of 1000 steps from the seeded state
+        words = synthgen._lane_words(seed, 6000, 6)
+        assert words.tolist() == scalar_words(seed, 6000)
+
+    @pytest.mark.parametrize(
+        "n,m,c,seed",
+        [
+            (1, 511, 2, 3),  # 2044 words, drawn by the scalar generator
+            (1, 512, 2, 3),  # 2048 words, the largest count drawn by it
+            (1, 513, 2, 3),  # 2052 words, drawn in lanes
+            (3, 101, 7, 2**64 - 1),  # an odd normal count drawn in lanes
+            (2, 1200, 3, 0),
+        ],
+    )
+    def test_generate_matches_the_scalar_recipe(self, n, m, c, seed):
+        ds = generate(SynthConfig(num_models=n, num_samples=m, num_classes=c, seed=seed))
+        logits, labels = scalar_generate(n, m, c, seed)
+        assert ds.logits.tobytes() == logits.tobytes()
+        np.testing.assert_array_equal(ds.labels, labels)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.3])  # zero noise keeps the sign of every 0.0
+    def test_scale_and_sigma_match_the_scalar_recipe(self, sigma):
+        config = SynthConfig(
+            num_models=2, num_samples=700, num_classes=3, seed=8,
+            signal_scale=2.5, noise_sigma=sigma,
+        )
+        logits, _ = scalar_generate(2, 700, 3, 8, scale=2.5, sigma=sigma)
+        assert generate(config).logits.tobytes() == logits.tobytes()
 
 
 class TestZeroNoise:
