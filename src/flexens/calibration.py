@@ -34,15 +34,9 @@ from pathlib import Path
 import numpy as np
 
 from .cascade_engine import ThresholdSchedule, _stop_levels, run_dataset, stage_tables
-from .dataset_io import DatasetFiles, EnsembleDataset, write_atomic
+from .dataset_io import DatasetFiles, EnsembleDataset, _is_json_number, write_atomic
 from .errors import MalformedScheduleError
-# relative_error_increase is re-exported from here for existing callers
-from .metrics_report import (  # noqa: F401
-    EvaluationReport,
-    relative_error_increase,
-    score,
-    score_counts,
-)
+from .metrics_report import EvaluationReport, score, score_counts
 
 DEFAULT_ALPHA = 0.5
 DEFAULT_GRID_STEP = 0.01
@@ -198,12 +192,11 @@ def load_schedule(path) -> ScheduleFile:
         raise MalformedScheduleError(f"{p}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise MalformedScheduleError(f"{p}: schedule must be a JSON object")
-    if doc.get("version") != 1:
-        raise MalformedScheduleError(f"{p}: unsupported schedule version {doc.get('version')!r}")
+    version = doc.get("version")
+    if version != 1 or isinstance(version, (bool, float)):  # true and 1.0 equal 1
+        raise MalformedScheduleError(f"{p}: unsupported schedule version {version!r}")
     thresholds = doc.get("thresholds")
-    if not isinstance(thresholds, list) or not all(
-        isinstance(t, (int, float)) and not isinstance(t, bool) for t in thresholds
-    ):
+    if not isinstance(thresholds, list) or not all(_is_json_number(t) for t in thresholds):
         raise MalformedScheduleError(f"{p}: thresholds must be a list of numbers")
     try:
         schedule = ThresholdSchedule(tuple(float(t) for t in thresholds))
@@ -214,7 +207,7 @@ def load_schedule(path) -> ScheduleFile:
         value = doc.get(key)
         if value is None:
             return None
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
+        if not _is_json_number(value):
             raise MalformedScheduleError(f"{p}: {key} must be a number when present")
         return float(value)
 

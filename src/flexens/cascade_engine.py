@@ -186,11 +186,11 @@ def stage_tables(
         margins = np.empty((models, source.num_samples), dtype=np.float64)
         predictions = np.empty((models, source.num_samples), dtype=np.int64)
         buffer = None
-        for chunk, block in source.logit_chunks(models):
+        for chunk, block in source.logit_chunks():
             if buffer is None:  # the first chunk is the largest
-                buffer = np.empty(block.shape, dtype=np.float64)
+                buffer = np.empty((models, *block.shape[1:]), dtype=np.float64)
             prefix = buffer[:, : block.shape[1]]
-            np.copyto(prefix, block)
+            np.copyto(prefix, block[:models])
             # the same sequential order as np.cumsum(axis=0), several times faster here
             for k in range(1, models):
                 prefix[k] += prefix[k - 1]

@@ -21,17 +21,19 @@ paths, no "..").
 A directory is read in one of two ways. load_dataset builds an
 EnsembleDataset, which holds the whole (N, M, C) tensor; it is the library's
 entry point. open_dataset returns a DatasetFiles handle, which the CLI
-commands use: it holds the manifest, the payload paths, the labels and the
-costs, and leaves the logits on disk. open_dataset checks the manifest, then
-every logit payload's header and file size against it, then the label
-payload's, before allocating anything the manifest sizes.
+commands use: a plain record of the dimensions, the logit payload paths, the
+labels and the costs, which leaves the logits on disk. open_dataset checks
+the manifest, then every logit payload's header and file size against it,
+then the label payload's, before allocating anything the manifest sizes.
 
-Both are chunk sources for cascade_engine.stage_tables: logit_chunks yields
-the logits of consecutive chunks of about _CHUNK_VALUES values per model.
-An EnsembleDataset yields views of its tensor. A DatasetFiles handle reads
-each chunk from every logit payload, one contiguous byte range per payload
-since payloads are row-major by sample, into one reused float32 buffer;
-load_dataset has the same reads fill its tensor in place.
+Both are chunk sources for cascade_engine.stage_tables: logit_chunks() yields
+(samples, logits[:, samples]) of all N models over consecutive chunks of
+about _CHUNK_VALUES values per model; a consumer that needs fewer models
+slices the block itself. An EnsembleDataset yields views of its tensor. A
+DatasetFiles handle reads each chunk from every logit payload, one contiguous
+byte range per payload since payloads are row-major by sample, into one
+reused float32 buffer; load_dataset has the same reads fill its tensor in
+place.
 
 Every logit is checked by one pass over such chunks, _checked: a DatasetFiles
 handle runs it as logit_chunks reads, and an EnsembleDataset over its tensor
@@ -170,7 +172,7 @@ class EnsembleDataset:
 
         object.__setattr__(self, "logits", logits)
         # the caller's labels are range-checked before an int64 cast could wrap them
-        for _ in _checked(self.logit_chunks(num_models), raw_labels, num_classes, costs):
+        for _ in _checked(self.logit_chunks(), raw_labels, num_classes, costs):
             pass
         labels = raw_labels.astype(np.int64)
         for arr in (logits, labels, costs):
@@ -190,10 +192,10 @@ class EnsembleDataset:
     def num_classes(self) -> int:
         return self.logits.shape[2]
 
-    def logit_chunks(self, num_models: int) -> Iterator[tuple[slice, np.ndarray]]:
-        """Yield (samples, logits[:num_models, samples]) over consecutive chunks of samples."""
+    def logit_chunks(self) -> Iterator[tuple[slice, np.ndarray]]:
+        """Yield (samples, logits[:, samples]) over consecutive chunks of samples."""
         for samples in _sample_chunks(self.num_samples, self.num_classes):
-            yield samples, self.logits[:num_models, samples]
+            yield samples, self.logits[:, samples]
 
 
 @dataclass(frozen=True)
@@ -212,20 +214,18 @@ class DatasetManifest:
 def write_atomic(path, data: str | Sequence) -> None:
     """Write `data` to `path` via a sibling temporary file and os.replace.
 
-    `data` is a str, written as UTF-8 text, or a sequence of byte-like
-    buffers (such as a header and a contiguous array), written one after
-    another without being joined. A failure or crash mid-write leaves any
-    existing file at `path` as it was.
+    `data` is a str, written as its UTF-8 encoding with no newline
+    translation, or a sequence of byte-like buffers (such as a header and a
+    contiguous array), written one after another without being joined. A
+    failure or crash mid-write leaves any existing file at `path` as it was.
     """
+    if isinstance(data, str):
+        data = [data.encode("utf-8")]
     target = Path(path)
     tmp = target.with_name(f".{target.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
-        if isinstance(data, str):
-            tmp.write_text(data, encoding="utf-8")
-        else:
-            with open(tmp, "wb") as out:
-                for buffer in data:
-                    out.write(buffer)
+        with open(tmp, "wb") as out:
+            out.writelines(data)
         os.replace(tmp, target)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -260,6 +260,18 @@ def save_dataset(dataset: EnsembleDataset, directory) -> DatasetManifest:
     )
     write_atomic(root / MANIFEST_NAME, json.dumps(asdict(manifest), indent=2) + "\n")
     return manifest
+
+
+def _is_json_number(value) -> bool:
+    """Whether a parsed JSON value is a number a float can hold: not a bool, and
+    not an integer too large for float() to convert."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        float(value)
+    except OverflowError:
+        return False
+    return True
 
 
 def _manifest_int(doc: dict, key: str, path: Path) -> int:
@@ -305,9 +317,7 @@ def _parse_manifest(doc, path: Path) -> DatasetManifest:
                 f"{path}: payload path {name!r} must stay inside the dataset directory"
             )
     costs = doc["costs_ms"]
-    if not isinstance(costs, list) or not all(
-        isinstance(c, (int, float)) and not isinstance(c, bool) for c in costs
-    ):
+    if not isinstance(costs, list) or not all(_is_json_number(c) for c in costs):
         raise MalformedManifestError(f"{path}: costs_ms must be a list of numbers")
     if len(costs) != num_models:
         raise MalformedManifestError(
@@ -386,32 +396,17 @@ class DatasetFiles:
     values and the costs are unchecked.
     """
 
-    manifest: DatasetManifest
+    num_models: int
+    num_samples: int
+    num_classes: int
     logit_paths: tuple[Path, ...]
     labels: np.ndarray  # (num_samples,) int64, frozen
     costs_ms: np.ndarray  # (num_models,) float64, frozen
 
-    @property
-    def num_models(self) -> int:
-        return self.manifest.num_models
-
-    @property
-    def num_samples(self) -> int:
-        return self.manifest.num_samples
-
-    @property
-    def num_classes(self) -> int:
-        return self.manifest.num_classes
-
-    def logit_chunks(self, num_models: int) -> Iterator[tuple[slice, np.ndarray]]:
-        """Yield (samples, logits[:num_models, samples]) over consecutive chunks of
-        samples, read from the payloads into one reused float32 buffer.
-
-        Every payload is read and checked whatever num_models is.
-        """
-        chunks = _checked(self._read_chunks(), self.labels, self.num_classes, self.costs_ms)
-        for samples, block in chunks:
-            yield samples, block[:num_models]
+    def logit_chunks(self) -> Iterator[tuple[slice, np.ndarray]]:
+        """Yield (samples, logits[:, samples]) over consecutive chunks of samples,
+        read from the payloads into one reused float32 buffer and checked."""
+        return _checked(self._read_chunks(), self.labels, self.num_classes, self.costs_ms)
 
     def _read_chunks(self, tensor=None) -> Iterator[tuple[slice, np.ndarray]]:
         """Read every payload's byte range of each chunk of samples into one reused
@@ -437,7 +432,7 @@ class DatasetFiles:
 
     def check(self) -> None:
         """Run the checking pass alone: read every logit, build nothing."""
-        for _ in self.logit_chunks(0):
+        for _ in self.logit_chunks():
             pass
 
 
@@ -466,7 +461,7 @@ def open_dataset(manifest_path) -> DatasetFiles:
     costs = np.array(manifest.costs_ms, dtype=np.float64)
     for arr in (labels, costs):
         arr.setflags(write=False)
-    return DatasetFiles(manifest, logit_paths, labels, costs)
+    return DatasetFiles(manifest.num_models, *shape, logit_paths, labels, costs)
 
 
 def load_dataset(manifest_path) -> EnsembleDataset:

@@ -186,36 +186,24 @@ def flexible_sweep(
     return rows
 
 
-def write_sweep_csv(path, rows: Sequence[SweepRow]) -> None:
-    lines = [SWEEP_CSV_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                (
-                    r.config,
-                    format_real(r.accuracy),
-                    format_real(r.avg_cost_ms),
-                    format_real(r.latency_ratio),
-                    format_real(r.error_increase),
-                    format_real(r.avg_models),
-                )
-            )
-        )
+def _write_csv(path, header: str, rows) -> None:
+    """Write the header line, then one line of comma-joined cells per row."""
+    lines = [header, *(",".join(cells) for cells in rows)]
     write_atomic(path, "\n".join(lines) + "\n")
+
+
+def write_sweep_csv(path, rows: Sequence[SweepRow]) -> None:
+    cells = []
+    for r in rows:
+        reals = (r.accuracy, r.avg_cost_ms, r.latency_ratio, r.error_increase, r.avg_models)
+        cells.append((r.config, *map(format_real, reals)))
+    _write_csv(path, SWEEP_CSV_HEADER, cells)
 
 
 def write_histogram_csv(path, histogram: MarginHistogram) -> None:
-    lines = [HISTOGRAM_CSV_HEADER]
     edges = histogram.bin_edges
-    for i in range(len(histogram.correct_counts)):
-        lines.append(
-            ",".join(
-                (
-                    format_real(edges[i]),
-                    format_real(edges[i + 1]),
-                    str(int(histogram.correct_counts[i])),
-                    str(int(histogram.wrong_counts[i])),
-                )
-            )
-        )
-    write_atomic(path, "\n".join(lines) + "\n")
+    cells = []
+    for i, (correct, wrong) in enumerate(zip(histogram.correct_counts, histogram.wrong_counts)):
+        bounds = (format_real(edges[i]), format_real(edges[i + 1]))
+        cells.append((*bounds, str(int(correct)), str(int(wrong))))
+    _write_csv(path, HISTOGRAM_CSV_HEADER, cells)

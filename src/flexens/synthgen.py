@@ -45,7 +45,6 @@ DEFAULT_COST_MS = 1.667
 
 _MASK64 = (1 << 64) - 1
 _TWO_PI = 2.0 * math.pi
-_SCALAR_WORDS = 2048  # up to this many words the scalar generator is the faster
 
 
 class Xoshiro256PlusPlus:
@@ -107,8 +106,6 @@ def _lane_words(seed: int, count: int, lanes: int) -> np.ndarray:
     """
     steps = -(-count // lanes)
     rng = Xoshiro256PlusPlus(seed)
-    if lanes == 1:  # the scalar generator: numpy's per-call overhead dominates short draws
-        return np.array([rng.next_uint64() for _ in range(count)], dtype=np.uint64)
     # row i holds the unit state of bit i: word i // 64, bit i % 64
     unit = np.packbits(np.eye(256, dtype=bool), axis=1, bitorder="little").view("<u8")
     jump = np.ascontiguousarray(unit.T, dtype=np.uint64)
@@ -177,7 +174,7 @@ def generate(config: SynthConfig) -> EnsembleDataset:
     n, m, c = config.num_models, config.num_samples, config.num_classes
     pairs = (n * m * c + 1) // 2
     count = 2 * m + 2 * pairs
-    lanes = math.isqrt(count) if count > _SCALAR_WORDS else 1
+    lanes = math.isqrt(count)
     uniforms = (_lane_words(config.seed, count, lanes) >> 11) * 2.0**-53
 
     # minimum() guards the theoretical case where u * c rounds up to c

@@ -12,7 +12,6 @@ from flexens.calibration import (
     calibrate,
     evaluate_objective,
     load_schedule,
-    relative_error_increase,
     save_schedule,
 )
 from flexens.cascade_engine import (
@@ -23,6 +22,7 @@ from flexens.cascade_engine import (
 )
 from flexens.dataset_io import EnsembleDataset
 from flexens.errors import MalformedScheduleError, ScheduleMismatchError
+from flexens.metrics_report import relative_error_increase
 
 # regression constants pinned from the first verified run on the seed-42 dataset
 SEED42_HALF_TAU_OBJECTIVE = CalibrationObjective(
@@ -304,9 +304,17 @@ class TestScheduleFile:
             ({"allow_same_split": "no"}, "allow_same_split must be true or false when present"),
             ({"allow_same_split": 1}, "allow_same_split must be true or false when present"),
             ({"allow_same_split": 0}, "allow_same_split must be true or false when present"),
+            # integers too large for a float
+            ({"thresholds": [0.5, 10**400]}, "thresholds must be a list of numbers"),
+            ({"alpha": 10**400}, "alpha must be a number when present"),
+            ({"grid_step": -(10**400)}, "grid_step must be a number when present"),
+            # JSON true and 1.0 compare equal to 1
+            ({"version": True}, "unsupported schedule version True"),
+            ({"version": 1.0}, "unsupported schedule version 1.0"),
         ],
         ids=["not_object", "alpha", "grid_step", "calibration_data", "allow_same_split_string",
-             "allow_same_split_no", "allow_same_split_one", "allow_same_split_zero"],
+             "allow_same_split_no", "allow_same_split_one", "allow_same_split_zero",
+             "huge_threshold", "huge_alpha", "huge_grid_step", "version_true", "version_float"],
     )
     def test_rejections_name_the_path(self, tmp_path, extra, message):
         path = tmp_path / "schedule.json"

@@ -94,6 +94,17 @@ class TestValidate:
         assert err.startswith("error: ")
         assert f"{manifest}: manifest key 'num_samples' must be an integer" in err
 
+    def test_cost_too_large_for_a_float_exits_1(self, tmp_path, capsys):
+        data = gen_dataset(tmp_path, "data")
+        manifest = data / "manifest.json"
+        doc = json.loads(manifest.read_text())
+        manifest.write_text(json.dumps({**doc, "costs_ms": [1.0, 10**400, 1.0]}))
+        capsys.readouterr()
+        assert main(["validate", "--data", str(data)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {manifest}: costs_ms must be a list of numbers\n"
+        )
+
 
 class TestUsageErrors:
     def test_no_arguments(self, capsys):
@@ -187,6 +198,19 @@ class TestPipeline:
                      "--out", str(report)]) == 1
         assert capsys.readouterr().err == (
             f"error: {schedule}: allow_same_split must be true or false when present\n"
+        )
+        assert not report.exists()
+
+    def test_threshold_too_large_for_a_float_exits_1(self, tmp_path, capsys):
+        data = gen_dataset(tmp_path, "data")
+        schedule = tmp_path / "schedule.json"
+        schedule.write_text(json.dumps({"version": 1, "thresholds": [10**400, 0.5]}))
+        report = tmp_path / "report.csv"
+        capsys.readouterr()
+        assert main(["run", "--data", str(data), "--schedule", str(schedule),
+                     "--out", str(report)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {schedule}: thresholds must be a list of numbers\n"
         )
         assert not report.exists()
 

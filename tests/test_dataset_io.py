@@ -329,10 +329,13 @@ class TestLoadErrors:
             (lambda doc: {**doc, "label_file": 3}, "label_file must be a string"),
             (lambda doc: {**doc, "costs_ms": 1.0}, "costs_ms must be a list of numbers"),
             (lambda doc: {**doc, "costs_ms": [True]}, "costs_ms must be a list of numbers"),
+            # an integer too large for a float
+            (lambda doc: {**doc, "costs_ms": [10**400]}, "costs_ms must be a list of numbers"),
             (lambda doc: {**doc, "costs_ms": [1.0, 2.0]}, "expected 1 costs, found 2"),
         ],
         ids=["not_object", "no_models", "no_samples", "logit_files_type", "logit_file_type",
-             "logit_files_count", "label_file_type", "costs_type", "cost_type", "costs_count"],
+             "logit_files_count", "label_file_type", "costs_type", "cost_type", "huge_cost",
+             "costs_count"],
     )
     def test_manifest_rejections_name_the_path(self, tmp_path, edit, message):
         manifest = _write_minimal_dir(tmp_path)
@@ -550,9 +553,19 @@ class TestStreamedChecks:
         )
         assert not (tmp_path / "hist.csv").exists()
 
+    def test_both_sources_yield_every_model_of_the_same_chunks(self, tmp_path, dataset_factory):
+        manifest = _streamed_dir(tmp_path, dataset_factory)
+        chunks = open_dataset(manifest).logit_chunks()
+        streamed = [(samples, block.copy()) for samples, block in chunks]  # the buffer is reused
+        in_memory = list(load_dataset(manifest).logit_chunks())
+        assert [samples for samples, _ in streamed] == [samples for samples, _ in in_memory]
+        for (_, a), (_, b) in zip(streamed, in_memory):
+            assert a.shape[0] == 3
+            assert a.tobytes() == b.tobytes()
+
     def test_payload_shrinking_mid_pass(self, tmp_path, dataset_factory):
         manifest = _streamed_dir(tmp_path, dataset_factory)
-        chunks = open_dataset(manifest).logit_chunks(3)
+        chunks = open_dataset(manifest).logit_chunks()
         next(chunks)  # every payload is open and its first chunk read
         path = tmp_path / "logits_001.ensl"
         size = path.stat().st_size
@@ -560,6 +573,26 @@ class TestStreamedChecks:
         message = f"logits_001.ensl: payload is {size - 8} bytes, expected {size}"
         with pytest.raises(DimensionMismatchError, match=message):
             list(chunks)
+
+
+@pytest.mark.parametrize(
+    "value, expected",
+    [
+        (0, True),
+        (-2.5, True),
+        (float("inf"), True),  # JSON 1e400; the range checks reject it later
+        (2**1024 - 2**970 - 1, True),  # the largest integer float() converts
+        (2**1024 - 2**970, False),
+        (-(2**1024 - 2**970), False),
+        (True, False),
+        ("1", False),
+        (None, False),
+    ],
+    ids=["zero", "float", "inf", "largest_convertible", "overflow", "negative_overflow", "bool",
+         "string", "null"],
+)
+def test_json_number_is_what_float_converts(value, expected):
+    assert dataset_io._is_json_number(value) is expected
 
 
 class TestCsvImport:

@@ -2,15 +2,16 @@ import numpy as np
 import pytest
 
 from flexens.cascade_engine import ThresholdSchedule, run_dataset, stage_tables
-from flexens.calibration import relative_error_increase
 from flexens.dataset_io import EnsembleDataset
 from flexens.metrics_report import (
     HISTOGRAM_CSV_HEADER,
     SWEEP_CSV_HEADER,
+    SweepRow,
     ensemble_size_sweep,
     flexible_sweep,
     format_real,
     margin_histogram,
+    relative_error_increase,
     report,
     write_histogram_csv,
     write_sweep_csv,
@@ -172,6 +173,14 @@ class TestCsvOutput:
         assert lines[0] == SWEEP_CSV_HEADER
         assert len(lines) == 4
         assert lines[1].startswith("full_1,")
+
+    def test_non_ascii_config_is_utf8_with_newline_ends(self, tmp_path):
+        path = tmp_path / "r.csv"
+        write_sweep_csv(path, [SweepRow("calibr\u00e9", 0.5, 1.25, 0.75, -0.125, 2.0)])
+        assert path.read_bytes() == (
+            b"config,accuracy,avg_cost_ms,R,E,avg_models\n"
+            b"calibr\xc3\xa9,0.5,1.25,0.75,-0.125,2\n"
+        )
 
     def test_histogram_csv_layout(self, tmp_path, dataset_factory):
         ds = dataset_factory(np.random.default_rng(8))

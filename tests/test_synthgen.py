@@ -19,7 +19,7 @@ SEED42_ACCURACY_K7 = 0.855
 PINNED_GENERATE = {
     (7, 10000, 10, 42): "4570ad4a7253f313f297ae38e115b6d855b8a0be85bea793e38b9e323cde4eef",
     (7, 10000, 10, 43): "42391bacf936a93450d76dcabbf8c97f2d56e6c55df338296e5d8e19a858181e",
-    # odd normal counts: 21021 drawn in lanes, 105 by the scalar generator
+    # odd normal counts: 21021, 105 and 4995
     (3, 1001, 7, 5): "1bebd157b8e9d7ce2fc830de36756999277f1bbd42942d3773db9e9e456a85c5",
     (3, 7, 5, 0): "00077afa575bb5dd0a24738c7891b1863ba7dd3a44b3f23b7b58dab5fe443df9",
     (5, 333, 3, 2**64 - 1): "969aea7f20ddbfd3f43dc41d7b885e51ae34c1920cac983799f18b34e3dce294",
@@ -142,10 +142,11 @@ class TestLaneStream:
     @pytest.mark.parametrize(
         "n,m,c,seed",
         [
-            (1, 511, 2, 3),  # 2044 words, drawn by the scalar generator
-            (1, 512, 2, 3),  # 2048 words, the largest count drawn by it
-            (1, 513, 2, 3),  # 2052 words, drawn in lanes
-            (3, 101, 7, 2**64 - 1),  # an odd normal count drawn in lanes
+            (1, 511, 2, 3),  # 2044 words: 45 lanes of 46, the last one cut short
+            (1, 512, 2, 3),  # 2048 words
+            (1, 513, 2, 3),  # 2052 words
+            (1, 1, 2, 0),  # 4 words, the smallest draw: 2 lanes of 2
+            (3, 101, 7, 2**64 - 1),  # an odd normal count
             (2, 1200, 3, 0),
         ],
     )
