@@ -46,7 +46,6 @@ from .metrics_report import (
     margin_histogram,
     relative_error_increase,
     report,
-    score,
     write_histogram_csv,
     write_sweep_csv,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "run_sample",
     "save_dataset",
     "save_schedule",
-    "score",
     "score_margin",
     "softmax",
     "stage_tables",

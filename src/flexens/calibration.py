@@ -36,7 +36,7 @@ import numpy as np
 from .cascade_engine import ThresholdSchedule, _stop_levels, run_dataset, stage_tables
 from .dataset_io import DatasetFiles, EnsembleDataset, _is_json_number, write_atomic
 from .errors import MalformedScheduleError
-from .metrics_report import EvaluationReport, score, score_counts
+from .metrics_report import EvaluationReport, report, score_counts
 
 DEFAULT_ALPHA = 0.5
 DEFAULT_GRID_STEP = 0.01
@@ -85,8 +85,7 @@ def evaluate_objective(
 ) -> CalibrationObjective:
     """Run the cascade under `schedule` and score it against the full ensemble."""
     _check_alpha(alpha)
-    run = run_dataset(dataset, schedule)
-    return _objective(alpha, score(run.tables, run.models_used, dataset.labels))
+    return _objective(alpha, report(dataset, run_dataset(dataset, schedule)))
 
 
 def _prefix_counts(flags: np.ndarray) -> np.ndarray:
@@ -129,8 +128,8 @@ def calibrate(
         # samples below tau run all N models, the rest stop here
         stays = np.searchsorted(margins[order], stop_levels, side="left")
 
-        best_value, best_stay, best_tau = np.inf, int(stays[0]), candidates[0]
-        for tau, stay in zip(candidates, stays.tolist()):
+        best_value, best = np.inf, 0
+        for i, stay in enumerate(stays.tolist()):
             counts = done_counts.copy()
             counts[stage] += alive.size - stay
             counts[-1] += stay
@@ -138,14 +137,13 @@ def calibrate(
             value = _objective(alpha, score_counts(tables, counts, wrong)).value
             # strict < keeps the earliest (lowest) candidate on plateaus
             if value < best_value:
-                best_value, best_stay, best_tau = value, stay, tau
-        chosen.append(best_tau)
+                best_value, best = value, i
+        chosen.append(candidates[best])
 
+        best_stay = int(stays[best])
         done_counts[stage] += alive.size - best_stay
         done_wrong += int(exit_wrong[-1] - exit_wrong[best_stay])
-        keep = np.zeros(alive.size, dtype=bool)
-        keep[order[:best_stay]] = True
-        alive = alive[keep]
+        alive = alive[margins < stop_levels[best]]  # the best_stay samples below tau
     return ThresholdSchedule(tuple(chosen))
 
 
@@ -203,12 +201,16 @@ def load_schedule(path) -> ScheduleFile:
     except ValueError as exc:
         raise MalformedScheduleError(f"{p}: {exc}") from exc
 
-    def _optional_number(key: str) -> float | None:
+    def _optional_number(key: str, check) -> float | None:
         value = doc.get(key)
         if value is None:
             return None
         if not _is_json_number(value):
             raise MalformedScheduleError(f"{p}: {key} must be a number when present")
+        try:  # json parses NaN and Infinity too
+            check(float(value))
+        except ValueError as exc:
+            raise MalformedScheduleError(f"{p}: {exc}") from exc
         return float(value)
 
     calibration_data = doc.get("calibration_data")
@@ -220,8 +222,8 @@ def load_schedule(path) -> ScheduleFile:
         raise MalformedScheduleError(f"{p}: allow_same_split must be true or false when present")
     return ScheduleFile(
         schedule=schedule,
-        alpha=_optional_number("alpha"),
-        grid_step=_optional_number("grid_step"),
+        alpha=_optional_number("alpha", _check_alpha),
+        grid_step=_optional_number("grid_step", GridSpec),
         calibration_data=calibration_data,
         allow_same_split=allow_same_split is True,
     )

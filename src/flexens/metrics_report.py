@@ -5,9 +5,12 @@ manifest, so every number in a report is deterministic. CSV outputs use
 fixed headers and 6-significant-digit reals so downstream plotting can be
 scripted against byte-stable files. The R and E columns are the normalized
 latency and relative error increase of gated execution versus always
-running the full ensemble; score_counts is the single definition of R, E
-and accuracy, which score and calibration's sweep both call. Every CSV is
-written atomically.
+running the full ensemble. score_counts is the one code that turns a run's
+per-stage exit counts and wrong count into accuracy, cost, R and E: report
+scores a gated run through it, ensemble_size_sweep scores row k as the run
+in which every sample stops after k models, and calibration scores its
+candidates with it. So a baseline row and a gated run that stops at the
+same stage are the same numbers. Every CSV is written atomically.
 """
 
 from __future__ import annotations
@@ -69,19 +72,13 @@ def relative_error_increase(flexible_error: float, full_error: float) -> float:
     return (flexible_error - full_error) / full_error
 
 
-def score(tables: StageTables, used: np.ndarray, labels: np.ndarray) -> EvaluationReport:
-    """Score the exit stages `used` (models run per sample) against full-ensemble execution."""
-    exit_counts = np.bincount(used, minlength=tables.num_models + 1)[1:]
-    exit_predictions = tables.predictions[used - 1, np.arange(labels.size)]
-    return score_counts(tables, exit_counts, np.count_nonzero(exit_predictions != labels))
-
-
 def score_counts(tables: StageTables, exit_counts: np.ndarray, wrong: int) -> EvaluationReport:
     """Score a run given only its per-stage exit counts and its number of wrong predictions.
 
     exit_counts[k-1] is the number of samples stopping after k models (int64).
-    calibrate scores its candidates here without materializing `used`, so
-    every R and E comes from the same arithmetic in the same order.
+    report, ensemble_size_sweep and calibrate (which never materializes
+    `used`) all score here, so every R and E comes from the same arithmetic
+    in the same order.
     """
     num_samples = tables.num_samples
     num_models = tables.num_models
@@ -105,7 +102,10 @@ def report(dataset: EnsembleDataset | DatasetFiles, run: CascadeRun) -> Evaluati
         raise ValueError(f"got {len(run)} traces for {dataset.num_samples} samples")
     if not isinstance(run, CascadeRun):
         raise TypeError(f"report takes the CascadeRun from run_dataset, got {type(run).__name__}")
-    return score(run.tables, run.models_used, dataset.labels)
+    tables, used = run.tables, run.models_used
+    exit_counts = np.bincount(used, minlength=tables.num_models + 1)[1:]
+    exit_predictions = tables.predictions[used - 1, np.arange(used.size)]
+    return score_counts(tables, exit_counts, np.count_nonzero(exit_predictions != dataset.labels))
 
 
 def margin_histogram(
@@ -144,25 +144,21 @@ def margin_histogram(
     )
 
 
-def ensemble_size_sweep(dataset: EnsembleDataset | DatasetFiles) -> list[SweepRow]:
-    """One row per truncated ensemble size k = 1..N under full (ungated) execution."""
-    tables = stage_tables(dataset)
-    num_samples = dataset.num_samples
-    full_error = int(tables.wrong_counts[-1]) / num_samples
+def _row(config: str, rep: EvaluationReport) -> SweepRow:
+    return SweepRow(
+        config, rep.accuracy, rep.avg_cost_ms, rep.latency_ratio, rep.error_increase, rep.avg_models
+    )
 
+
+def ensemble_size_sweep(dataset: EnsembleDataset | DatasetFiles) -> list[SweepRow]:
+    """One row per truncated ensemble size k = 1..N under full (ungated) execution,
+    scored as the run in which every sample stops after k models."""
+    tables = stage_tables(dataset)
     rows = []
     for k, wrong in enumerate(tables.wrong_counts.tolist(), start=1):
-        rows.append(
-            SweepRow(
-                config=f"full_{k}",
-                accuracy=(num_samples - wrong) / num_samples,
-                avg_cost_ms=float(tables.cum_costs_ms[k - 1]),
-                latency_ratio=float(tables.cum_costs_ms[k - 1])
-                / float(tables.cum_costs_ms[-1]),
-                error_increase=relative_error_increase(wrong / num_samples, full_error),
-                avg_models=float(k),
-            )
-        )
+        exit_counts = np.zeros(tables.num_models, dtype=np.int64)
+        exit_counts[k - 1] = tables.num_samples
+        rows.append(_row(f"full_{k}", score_counts(tables, exit_counts, wrong)))
     return rows
 
 
@@ -170,20 +166,7 @@ def flexible_sweep(
     dataset: EnsembleDataset | DatasetFiles, schedules: Sequence[tuple[str, ThresholdSchedule]]
 ) -> list[SweepRow]:
     """One row per named schedule under gated execution."""
-    rows = []
-    for config, schedule in schedules:
-        rep = report(dataset, run_dataset(dataset, schedule))
-        rows.append(
-            SweepRow(
-                config=config,
-                accuracy=rep.accuracy,
-                avg_cost_ms=rep.avg_cost_ms,
-                latency_ratio=rep.latency_ratio,
-                error_increase=rep.error_increase,
-                avg_models=rep.avg_models,
-            )
-        )
-    return rows
+    return [_row(config, report(dataset, run_dataset(dataset, s))) for config, s in schedules]
 
 
 def _write_csv(path, header: str, rows) -> None:

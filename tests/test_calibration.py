@@ -311,10 +311,16 @@ class TestScheduleFile:
             # JSON true and 1.0 compare equal to 1
             ({"version": True}, "unsupported schedule version True"),
             ({"version": 1.0}, "unsupported schedule version 1.0"),
+            # numbers calibrate itself would refuse; json parses NaN and Infinity
+            ({"alpha": float("nan")}, "alpha must be in [0, 1], got nan"),
+            ({"grid_step": float("inf")}, "grid step must be in (0, 1], got inf"),
+            ({"alpha": 1.5}, "alpha must be in [0, 1], got 1.5"),
+            ({"grid_step": 0.3}, "grid step 0.3 must divide [0, 1] evenly"),
         ],
         ids=["not_object", "alpha", "grid_step", "calibration_data", "allow_same_split_string",
              "allow_same_split_no", "allow_same_split_one", "allow_same_split_zero",
-             "huge_threshold", "huge_alpha", "huge_grid_step", "version_true", "version_float"],
+             "huge_threshold", "huge_alpha", "huge_grid_step", "version_true", "version_float",
+             "nan_alpha", "infinite_grid_step", "alpha_above_one", "uneven_grid_step"],
     )
     def test_rejections_name_the_path(self, tmp_path, extra, message):
         path = tmp_path / "schedule.json"

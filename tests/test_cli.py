@@ -222,10 +222,22 @@ class TestPipeline:
         assert main(["run", "--data", str(train), "--schedule", str(schedule),
                      "--out", str(tmp_path / "report.csv")]) == 0
 
-    def test_run_with_unreachable_thresholds_matches_baseline(self, tmp_path):
-        data = gen_dataset(tmp_path, "data")
+    @pytest.mark.parametrize(
+        "gen_args",
+        [
+            GEN_ARGS,
+            # one model whose cost sits on a rounding tie of the 6-digit CSV reals
+            ["--models", "1", "--samples", "3", "--classes", "3", "--seed", "0",
+             "--cost-ms", "0.1234565"],
+        ],
+        ids=["three_models", "one_model_cost_tie"],
+    )
+    def test_run_with_unreachable_thresholds_matches_baseline(self, tmp_path, gen_args):
+        data = tmp_path / "data"
+        assert main(["gen", *gen_args, "--out", str(data)]) == 0
+        num_models = int(gen_args[gen_args.index("--models") + 1])
         schedule = tmp_path / "ones.json"
-        schedule.write_text('{"version": 1, "thresholds": [1.0, 1.0]}')
+        save_schedule(schedule, ThresholdSchedule.uniform(1.0, num_models))
 
         baseline_csv = tmp_path / "baseline.csv"
         report_csv = tmp_path / "report.csv"
@@ -234,7 +246,7 @@ class TestPipeline:
                      "--out", str(report_csv)]) == 0
 
         baseline_rows = read_rows(baseline_csv)
-        assert len(baseline_rows) == 3
+        assert len(baseline_rows) == num_models
         full_row = baseline_rows[-1]
         run_row = read_rows(report_csv)[0]
         assert run_row["accuracy"] == full_row["accuracy"]

@@ -152,6 +152,24 @@ class TestSweeps:
         assert rows[-1].accuracy > rows[0].accuracy
         assert rows[-1].error_increase == 0.0
 
+    @pytest.mark.parametrize(
+        "costs, num_samples",
+        [((0.1234565,), 3), ((0.5, 0.734565), 29)],
+        ids=["one_model", "two_models"],
+    )
+    def test_baseline_rows_equal_runs_that_stop_after_k_models(self, costs, num_samples):
+        # here m * c / m != c or m * c / (m * c_N) != c / c_N in the last bit, for cumulative cost c
+        rng = np.random.default_rng(9)
+        n = len(costs)
+        logits = rng.normal(0.0, 2.0, size=(n, num_samples, 3)).astype(np.float32)
+        labels = rng.integers(0, 3, size=num_samples).astype(np.int64)
+        ds = EnsembleDataset(logits, labels, np.array(costs))
+        stop_after = [
+            (f"full_{k}", ThresholdSchedule((1.0,) * (k - 1) + (0.0,) * (n - k)))
+            for k in range(1, n + 1)
+        ]
+        assert ensemble_size_sweep(ds) == flexible_sweep(ds, stop_after)
+
     def test_flexible_cheaper_than_full_on_calibrated_schedule(self, seed42_dataset):
         schedule = ThresholdSchedule((0.37, 0.2, 0.11, 0.11, 0.08, 0.08))
         flex = flexible_sweep(seed42_dataset, [("calibrated", schedule)])[0]
