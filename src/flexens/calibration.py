@@ -85,7 +85,7 @@ def evaluate_objective(
 ) -> CalibrationObjective:
     """Run the cascade under `schedule` and score it against the full ensemble."""
     _check_alpha(alpha)
-    return _objective(alpha, report(dataset, run_dataset(dataset, schedule)))
+    return _objective(float(alpha), report(dataset, run_dataset(dataset, schedule)))
 
 
 def _prefix_counts(flags: np.ndarray) -> np.ndarray:

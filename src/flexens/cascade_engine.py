@@ -34,8 +34,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset_io import DatasetFiles, EnsembleDataset
-from .errors import DimensionMismatchError, ScheduleMismatchError
+from .dataset_io import DatasetFiles, EnsembleDataset, _cumulative_costs
+from .errors import DimensionMismatchError, NonFiniteLogitError, ScheduleMismatchError
 
 
 @dataclass(frozen=True)
@@ -196,7 +196,7 @@ def stage_tables(
                 prefix[k] += prefix[k - 1]
             margins[:, chunk], predictions[:, chunk] = _prefix_stage_stats(prefix)
         wrong = np.count_nonzero(predictions != source.labels, axis=1).astype(np.int64)
-        cum_costs = np.cumsum(source.costs_ms[:models], dtype=np.float64)
+        cum_costs = np.array(_cumulative_costs(source.costs_ms[:models]))
         for arr in (margins, predictions, wrong, cum_costs):
             arr.setflags(write=False)
         tables = StageTables(margins, predictions, wrong, cum_costs)
@@ -223,7 +223,12 @@ def full_ensemble_predictions(dataset: EnsembleDataset | DatasetFiles) -> np.nda
 
 
 def run_sample(logits_per_model, schedule: ThresholdSchedule, costs_ms) -> CascadeTrace:
-    """Run the cascade on a single sample's (num_models, num_classes) logits."""
+    """Run the cascade on a single sample's (num_models, num_classes) logits.
+
+    The input is checked as datasets check theirs: the first non-finite logit
+    in (model, class) order raises NonFiniteLogitError (as sample 0), then
+    the first cost that is not finite and positive NonPositiveCostError.
+    """
     logits = np.asarray(logits_per_model, dtype=np.float64)
     if logits.ndim != 2:
         raise DimensionMismatchError(
@@ -238,10 +243,15 @@ def run_sample(logits_per_model, schedule: ThresholdSchedule, costs_ms) -> Casca
             f"expected {num_models} costs, got shape {costs.shape}"
         )
     schedule.validate_for(num_models)
+    finite = np.isfinite(logits)
+    if not finite.all():
+        model, column = np.unravel_index(np.argmin(finite), finite.shape)
+        raise NonFiniteLogitError(int(model), 0, int(column))
+    cum_costs = _cumulative_costs(costs)
 
     margins, predictions = _prefix_stage_stats(np.cumsum(logits[:, np.newaxis, :], axis=0))
     used = int(_models_used(margins, schedule.thresholds)[0])
-    return _trace(margins, predictions, np.cumsum(costs, dtype=np.float64), 0, used)
+    return _trace(margins, predictions, cum_costs, 0, used)
 
 
 def run_dataset(

@@ -112,10 +112,19 @@ def _checked(
         sample = int(np.argmax(out_of_range))
         raise LabelOutOfRangeError(sample, int(labels[sample]), num_classes)
 
-    bad_cost = ~(np.isfinite(costs) & (costs > 0.0))
-    if bad_cost.any():
-        model = int(np.argmax(bad_cost))
-        raise NonPositiveCostError(model, float(costs[model]))
+    _cumulative_costs(costs)  # raises for the first bad cost
+
+
+def _cumulative_costs(costs: np.ndarray) -> list[float]:
+    """Running sums of the per-model costs, added left to right as np.cumsum
+    does; raises for the first cost that is not finite and positive."""
+    sums, total = [], 0.0
+    for model, cost in enumerate(costs.tolist()):
+        if not 0.0 < cost < np.inf:  # false for NaN too
+            raise NonPositiveCostError(model, cost)
+        total += cost
+        sums.append(total)
+    return sums
 
 
 @dataclass(frozen=True, eq=False)

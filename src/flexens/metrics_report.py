@@ -10,7 +10,10 @@ per-stage exit counts and wrong count into accuracy, cost, R and E: report
 scores a gated run through it, ensemble_size_sweep scores row k as the run
 in which every sample stops after k models, and calibration scores its
 candidates with it. So a baseline row and a gated run that stops at the
-same stage are the same numbers. Every CSV is written atomically.
+same stage are the same numbers. score_counts sums the gated cost over
+stages left to right with one rounding per step, a fused multiply-add
+computed exactly in integers, and calls no BLAS kernel, so every R and E
+is the same on every CPU. Every CSV is written atomically.
 """
 
 from __future__ import annotations
@@ -79,17 +82,37 @@ def score_counts(tables: StageTables, exit_counts: np.ndarray, wrong: int) -> Ev
     report, ensemble_size_sweep and calibrate (which never materializes
     `used`) all score here, so every R and E comes from the same arithmetic
     in the same order.
+
+    The gated cost total is summed over stages left to right, each step
+    total = fma(count_k, cum_cost_k, total): the exact value rounded once, as
+    IEEE 754 fusedMultiplyAdd (C fma) gives it, and inf beyond the float
+    range. Both floats are exact fractions with power-of-two denominators,
+    so the step is one correctly rounded int / int division. Zero counts are
+    skipped, which is exact since fma(0, x, t) = t for finite x. No BLAS
+    kernel is involved, so the sum, and with it every R, E and calibration
+    tie-break, is the same on every CPU. Every other value comes from IEEE
+    + - * / on Python ints and floats, which round the same everywhere, and
+    every real field is a Python float.
     """
     num_samples = tables.num_samples
-    num_models = tables.num_models
-    gated_cost_total = float(exit_counts @ tables.cum_costs_ms)
+    wrong = int(wrong)
+    gated_cost_total, models_total = 0.0, 0
+    for k, (count, cost) in enumerate(zip(exit_counts.tolist(), tables.cum_costs_ms.tolist()), 1):
+        if count:
+            models_total += k * count
+            try:
+                (p, q), (r, s) = cost.as_integer_ratio(), gated_cost_total.as_integer_ratio()
+                d = max(q, s)  # both denominators are powers of two
+                gated_cost_total = (count * p * (d // q) + r * (d // s)) / d
+            except OverflowError:  # beyond the float range, where fma gives inf
+                gated_cost_total = np.inf
     full_cost_total = num_samples * float(tables.cum_costs_ms[-1])
     full_error = int(tables.wrong_counts[-1]) / num_samples
 
     return EvaluationReport(
         accuracy=(num_samples - wrong) / num_samples,
         avg_cost_ms=gated_cost_total / num_samples,
-        avg_models=float(exit_counts @ np.arange(1, num_models + 1)) / num_samples,
+        avg_models=models_total / num_samples,
         latency_ratio=gated_cost_total / full_cost_total,
         error_increase=relative_error_increase(wrong / num_samples, full_error),
         exit_counts=exit_counts,

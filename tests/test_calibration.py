@@ -1,5 +1,6 @@
 import json
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -163,7 +164,11 @@ class TestEvaluateObjective:
                 used = np.fromiter((t.models_used for t in traces), np.int64, count=m)
                 preds = np.fromiter((t.prediction for t in traces), np.int64, count=m)
                 counts = np.bincount(used, minlength=ds.num_models + 1)[1:]
-                gated = float(counts @ tables.cum_costs_ms)
+                # the cost sum as a sequence of fused multiply-adds, each the
+                # exact rational value rounded once: no BLAS, no CPU dependence
+                gated = 0.0
+                for count, cost in zip(counts.tolist(), tables.cum_costs_ms.tolist()):
+                    gated = float(Fraction(count) * Fraction(cost) + Fraction(gated))
                 latency = gated / (m * float(tables.cum_costs_ms[-1]))
                 full_error = np.count_nonzero(tables.predictions[-1] != ds.labels) / m
                 increase = relative_error_increase(

@@ -19,7 +19,12 @@ from flexens.dataset_io import (
     open_dataset,
     save_dataset,
 )
-from flexens.errors import DimensionMismatchError, ScheduleMismatchError
+from flexens.errors import (
+    DimensionMismatchError,
+    NonFiniteLogitError,
+    NonPositiveCostError,
+    ScheduleMismatchError,
+)
 
 
 def check_trace_invariants(trace: CascadeTrace, schedule: ThresholdSchedule, dataset, sample):
@@ -88,6 +93,49 @@ class TestRunSample:
     def test_rejects_single_class(self):
         with pytest.raises(DimensionMismatchError, match="^need at least 2 classes$"):
             run_sample([[1.0], [2.0]], ThresholdSchedule((0.5,)), [1.0, 1.0])
+
+    @pytest.mark.parametrize(
+        "bad, first",
+        [
+            ({(1, 2): math.nan}, (1, 2)),
+            ({(0, 1): math.inf}, (0, 1)),
+            ({(2, 0): -math.inf}, (2, 0)),  # leaves every margin finite
+            ({(2, 0): math.inf, (1, 3): -math.inf, (1, 1): math.nan}, (1, 1)),
+        ],
+        ids=["nan", "inf", "minus_inf", "first_in_model_class_order"],
+    )
+    def test_rejects_non_finite_logits_as_datasets_do(self, bad, first):
+        logits = np.zeros((3, 4))
+        for index, value in bad.items():
+            logits[index] = value
+        costs = [-1.0, math.nan, 1.0]  # logits are checked before costs
+        with pytest.raises(NonFiniteLogitError) as single:
+            run_sample(logits, ThresholdSchedule((0.5, 0.5)), costs)
+        error = single.value
+        assert (error.model, error.sample, error.class_index) == (first[0], 0, first[1])
+        with pytest.raises(NonFiniteLogitError) as dataset:
+            EnsembleDataset(logits[:, None, :].astype(np.float32), np.zeros(1, np.int64), costs)
+        assert str(single.value) == str(dataset.value)
+
+    @pytest.mark.parametrize(
+        "costs, model",
+        [
+            ([-1.0, math.nan, 1.0], 0),
+            ([1.0, math.nan, 1.0], 1),
+            ([1.0, 1.0, math.inf], 2),
+            ([1.0, 0.0, -0.0], 1),
+        ],
+        ids=["negative", "nan", "inf", "zero"],
+    )
+    def test_rejects_bad_costs_as_datasets_do(self, costs, model):
+        logits = np.zeros((3, 4))
+        with pytest.raises(NonPositiveCostError) as single:
+            run_sample(logits, ThresholdSchedule((0.5, 0.5)), costs)
+        assert single.value.model == model
+        assert repr(single.value.value) == repr(costs[model])
+        with pytest.raises(NonPositiveCostError) as dataset:
+            EnsembleDataset(logits[:, None, :].astype(np.float32), np.zeros(1, np.int64), costs)
+        assert str(single.value) == str(dataset.value)
 
 
 class TestRunDataset:

@@ -1,7 +1,13 @@
+import dataclasses
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from flexens.cascade_engine import ThresholdSchedule, run_dataset, stage_tables
+from flexens.calibration import evaluate_objective
+from flexens.cascade_engine import StageTables, ThresholdSchedule, run_dataset, stage_tables
 from flexens.dataset_io import EnsembleDataset
 from flexens.metrics_report import (
     HISTOGRAM_CSV_HEADER,
@@ -13,6 +19,7 @@ from flexens.metrics_report import (
     margin_histogram,
     relative_error_increase,
     report,
+    score_counts,
     write_histogram_csv,
     write_sweep_csv,
 )
@@ -88,6 +95,64 @@ class TestReport:
 
         counts = np.bincount([t.models_used for t in traces], minlength=8)[1:]
         np.testing.assert_array_equal(rep.exit_counts, counts)
+
+
+@st.composite
+def exit_count_cases(draw):
+    """Per-stage exit counts (zeros common) and positive cumulative costs."""
+    n = draw(st.integers(1, 24))
+    counts = draw(st.lists(st.sampled_from([0, 1, 3, 977, 10**6 + 3]), min_size=n, max_size=n))
+    cost = st.floats(1e-3, 1e3, allow_nan=False, allow_infinity=False)
+    return counts, draw(st.lists(cost, min_size=n, max_size=n))
+
+
+def shape_only_tables(cum_costs, num_samples: int) -> StageTables:
+    """Stage tables for score_counts, which reads only the shape of the (N, M)
+    arrays, so they are broadcast views that hold no memory."""
+    n = len(cum_costs)
+    margins = np.broadcast_to(np.zeros(1), (n, num_samples))
+    predictions = np.broadcast_to(np.zeros(1, np.int64), (n, num_samples))
+    return StageTables(margins, predictions, np.zeros(n, np.int64), np.array(cum_costs))
+
+
+class TestScoreCounts:
+    @given(exit_count_cases())
+    def test_cost_total_is_a_chain_of_fused_multiply_adds(self, case):
+        counts, costs = case
+        m = max(1, sum(counts))
+        rep = score_counts(shape_only_tables(costs, m), np.array(counts, dtype=np.int64), 0)
+
+        total = 0.0  # each step is the exact count * cost + total, rounded once
+        for count, cost in zip(counts, costs):
+            total = float(count * Fraction(cost) + Fraction(total))
+        assert rep.avg_cost_ms == total / m
+        assert rep.latency_ratio == total / (m * costs[-1])
+        assert rep.avg_models == sum(k * c for k, c in enumerate(counts, start=1)) / m
+
+    @pytest.mark.parametrize(
+        "counts, cum_costs",
+        [([3, 0], [1e308, 1.5e308]), ([0, 2], [1e308, np.inf]), ([1, 2], [1e308, np.inf])],
+        ids=["product", "infinite_cost", "infinite_cost_after_finite_total"],
+    )
+    def test_a_cost_total_beyond_the_float_range_is_inf(self, counts, cum_costs):
+        tables = shape_only_tables(cum_costs, sum(counts))
+        assert score_counts(tables, np.array(counts), 0).avg_cost_ms == np.inf
+
+    def test_real_fields_are_python_floats_on_every_route(self, dataset_factory):
+        ds = dataset_factory(np.random.default_rng(8), num_models=3, num_samples=40)
+        schedule = ThresholdSchedule((0.3, 0.6))
+        results = [
+            report(ds, run_dataset(ds, schedule)),
+            score_counts(stage_tables(ds), np.array([10, 10, 20]), np.int64(7)),
+            *ensemble_size_sweep(ds),
+            *flexible_sweep(ds, [("s", schedule)]),
+            *(evaluate_objective(ds, schedule, a) for a in (0.5, 1, np.float64(0.25))),
+        ]
+        for result in results:
+            reals = [f.name for f in dataclasses.fields(result) if f.type in ("float", float)]
+            assert len(reals) >= 4
+            for name in reals:
+                assert type(getattr(result, name)) is float, (result, name)
 
 
 class TestMarginHistogram:
