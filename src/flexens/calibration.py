@@ -155,7 +155,6 @@ class ScheduleFile:
     alpha: float | None
     grid_step: float | None
     calibration_data: str | None
-    allow_same_split: bool
 
 
 def save_schedule(
@@ -165,9 +164,9 @@ def save_schedule(
     alpha: float | None = None,
     grid_step: float | None = None,
     calibration_data: str | None = None,
-    allow_same_split: bool = False,
 ) -> None:
-    """Write a schedule JSON file atomically; metadata keys are emitted only when set."""
+    """Write a schedule JSON file atomically. alpha and grid_step are always
+    written, as null when unset; calibration_data only when set."""
     doc: dict = {
         "version": 1,
         "alpha": alpha,
@@ -176,13 +175,12 @@ def save_schedule(
     }
     if calibration_data is not None:
         doc["calibration_data"] = calibration_data
-    if allow_same_split:
-        doc["allow_same_split"] = True
     write_atomic(path, json.dumps(doc, indent=2) + "\n")
 
 
 def load_schedule(path) -> ScheduleFile:
-    """Read a schedule JSON file, tolerating absent metadata keys."""
+    """Read a schedule JSON file, tolerating absent metadata keys and ignoring
+    unknown ones."""
     p = Path(path)
     try:
         doc = json.loads(p.read_text(encoding="utf-8"))
@@ -216,14 +214,9 @@ def load_schedule(path) -> ScheduleFile:
     calibration_data = doc.get("calibration_data")
     if calibration_data is not None and not isinstance(calibration_data, str):
         raise MalformedScheduleError(f"{p}: calibration_data must be a string when present")
-    # a truthy string such as "false" must not switch off run's same-split guard
-    allow_same_split = doc.get("allow_same_split")
-    if allow_same_split is not None and not isinstance(allow_same_split, bool):
-        raise MalformedScheduleError(f"{p}: allow_same_split must be true or false when present")
     return ScheduleFile(
         schedule=schedule,
         alpha=_optional_number("alpha", _check_alpha),
         grid_step=_optional_number("grid_step", GridSpec),
         calibration_data=calibration_data,
-        allow_same_split=allow_same_split is True,
     )

@@ -196,7 +196,7 @@ def stage_tables(
                 prefix[k] += prefix[k - 1]
             margins[:, chunk], predictions[:, chunk] = _prefix_stage_stats(prefix)
         wrong = np.count_nonzero(predictions != source.labels, axis=1).astype(np.int64)
-        cum_costs = np.array(_cumulative_costs(source.costs_ms[:models]))
+        cum_costs = np.array(_cumulative_costs(source.costs_ms[:models], source.num_samples))
         for arr in (margins, predictions, wrong, cum_costs):
             arr.setflags(write=False)
         tables = StageTables(margins, predictions, wrong, cum_costs)
@@ -222,12 +222,17 @@ def full_ensemble_predictions(dataset: EnsembleDataset | DatasetFiles) -> np.nda
     return stage_tables(dataset).predictions[-1]
 
 
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+
 def run_sample(logits_per_model, schedule: ThresholdSchedule, costs_ms) -> CascadeTrace:
     """Run the cascade on a single sample's (num_models, num_classes) logits.
 
-    The input is checked as datasets check theirs: the first non-finite logit
-    in (model, class) order raises NonFiniteLogitError (as sample 0), then
-    the first cost that is not finite and positive NonPositiveCostError.
+    The input is checked as datasets check theirs, whose logits are float32:
+    the first logit in (model, class) order that is not finite or lies beyond
+    the float32 range raises NonFiniteLogitError (as sample 0), then the first
+    cost that is not finite and positive NonPositiveCostError, and costs whose
+    total is not finite a ValidationError.
     """
     logits = np.asarray(logits_per_model, dtype=np.float64)
     if logits.ndim != 2:
@@ -243,11 +248,11 @@ def run_sample(logits_per_model, schedule: ThresholdSchedule, costs_ms) -> Casca
             f"expected {num_models} costs, got shape {costs.shape}"
         )
     schedule.validate_for(num_models)
-    finite = np.isfinite(logits)
-    if not finite.all():
-        model, column = np.unravel_index(np.argmin(finite), finite.shape)
+    magnitudes = np.abs(logits)
+    if not magnitudes.max() <= _FLOAT32_MAX:  # max propagates NaN, and NaN <= x is false
+        model, column = np.unravel_index(np.argmin(magnitudes <= _FLOAT32_MAX), logits.shape)
         raise NonFiniteLogitError(int(model), 0, int(column))
-    cum_costs = _cumulative_costs(costs)
+    cum_costs = _cumulative_costs(costs, 1)
 
     margins, predictions = _prefix_stage_stats(np.cumsum(logits[:, np.newaxis, :], axis=0))
     used = int(_models_used(margins, schedule.thresholds)[0])

@@ -6,9 +6,9 @@ and stdout are deterministic functions of the inputs; wall-clock timing is
 informational and goes to stderr only.
 
 Calibration and evaluation are meant to use distinct dataset splits. The
-calibrate subcommand records its dataset path in the schedule file and run
-refuses to reuse that same path unless --allow-same-split is passed (to
-either subcommand).
+calibrate subcommand records its dataset path in the schedule file, and run
+refuses to evaluate on that same path unless run itself is passed
+--allow-same-split; no key of the schedule file can switch that check off.
 """
 
 from __future__ import annotations
@@ -73,10 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="threshold grid step (default %(default)s)",
     )
     p_cal.add_argument("--out", required=True, help="output schedule JSON path")
-    p_cal.add_argument(
-        "--allow-same-split", action="store_true",
-        help="mark the schedule as usable on its own calibration data",
-    )
 
     p_run = sub.add_parser("run", help="gated execution under a schedule")
     p_run.add_argument("--data", required=True, help="evaluation dataset directory")
@@ -168,7 +164,6 @@ def _cmd_calibrate(args) -> int:
         alpha=args.alpha,
         grid_step=args.grid_step,
         calibration_data=os.path.realpath(args.data),
-        allow_same_split=args.allow_same_split,
     )
     print("thresholds: " + " ".join(format_real(t) for t in schedule.thresholds))
     print(f"wrote {args.out}")
@@ -177,11 +172,7 @@ def _cmd_calibrate(args) -> int:
 
 def _cmd_run(args) -> int:
     schedule_file = calibration.load_schedule(args.schedule)
-    if (
-        schedule_file.calibration_data is not None
-        and os.path.realpath(args.data) == schedule_file.calibration_data
-        and not (schedule_file.allow_same_split or args.allow_same_split)
-    ):
+    if schedule_file.calibration_data == os.path.realpath(args.data) and not args.allow_same_split:
         raise ValidationError(
             f"{args.data} is the split this schedule was calibrated on; evaluate on a "
             "held-out split or pass --allow-same-split"

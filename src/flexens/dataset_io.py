@@ -32,8 +32,8 @@ about _CHUNK_VALUES values per model; a consumer that needs fewer models
 slices the block itself. An EnsembleDataset yields views of its tensor. A
 DatasetFiles handle reads each chunk from every logit payload, one contiguous
 byte range per payload since payloads are row-major by sample, into one
-reused float32 buffer; load_dataset has the same reads fill its tensor in
-place.
+reused float32 buffer. load_dataset reads each logit payload whole into its
+model's slice of the tensor, as open_dataset reads the labels.
 
 Every logit is checked by one pass over such chunks, _checked: a DatasetFiles
 handle runs it as logit_chunks reads, and an EnsembleDataset over its tensor
@@ -112,18 +112,25 @@ def _checked(
         sample = int(np.argmax(out_of_range))
         raise LabelOutOfRangeError(sample, int(labels[sample]), num_classes)
 
-    _cumulative_costs(costs)  # raises for the first bad cost
+    _cumulative_costs(costs, labels.size)  # raises for the first bad cost
 
 
-def _cumulative_costs(costs: np.ndarray) -> list[float]:
+def _cumulative_costs(costs: np.ndarray, num_samples: int) -> list[float]:
     """Running sums of the per-model costs, added left to right as np.cumsum
-    does; raises for the first cost that is not finite and positive."""
+    does; raises for the first cost that is not finite and positive, then if
+    the total, or num_samples times it, is not finite. Every cost sum a report
+    forms is at most the latter, so each one is finite."""
     sums, total = [], 0.0
     for model, cost in enumerate(costs.tolist()):
         if not 0.0 < cost < np.inf:  # false for NaN too
             raise NonPositiveCostError(model, cost)
         total += cost
         sums.append(total)
+    if not num_samples * total < np.inf:  # the total itself is at most this
+        raise ValidationError(
+            f"costs_ms {costs.tolist()} overflow: their total times num_samples="
+            f"{num_samples} must be finite"
+        )
     return sums
 
 
@@ -417,24 +424,19 @@ class DatasetFiles:
         read from the payloads into one reused float32 buffer and checked."""
         return _checked(self._read_chunks(), self.labels, self.num_classes, self.costs_ms)
 
-    def _read_chunks(self, tensor=None) -> Iterator[tuple[slice, np.ndarray]]:
-        """Read every payload's byte range of each chunk of samples into one reused
-        buffer, or into that chunk of `tensor`, an (N, M, C) float32 array."""
+    def _read_chunks(self) -> Iterator[tuple[slice, np.ndarray]]:
+        """Read every payload's byte range of each chunk of samples into one buffer."""
         shape = (self.num_samples, self.num_classes)
         size = struct.calcsize(_header_format(2)) + 4 * math.prod(shape)
         chunks = _sample_chunks(*shape)
-        if tensor is None:
-            buffer = np.empty((self.num_models, chunks[0].stop, shape[1]), dtype="<f4")
+        buffer = np.empty((self.num_models, chunks[0].stop, shape[1]), dtype="<f4")
         with ExitStack() as stack:
             payloads = [
                 stack.enter_context(_open_payload(path, LOGIT_MAGIC, shape))
                 for path in self.logit_paths
             ]
             for samples in chunks:
-                if tensor is None:
-                    block = buffer[:, : samples.stop - samples.start]
-                else:
-                    block = tensor[:, samples]
+                block = buffer[:, : samples.stop - samples.start]
                 for path, payload, out in zip(self.logit_paths, payloads, block):
                     _fill(payload, path, out, size)
                 yield samples, block
@@ -476,14 +478,15 @@ def open_dataset(manifest_path) -> DatasetFiles:
 def load_dataset(manifest_path) -> EnsembleDataset:
     """Load and fully validate a dataset directory given its manifest path.
 
-    The dataset holds the whole (N, M, C) tensor, read in place by the reads
-    of a logit_chunks pass and checked once, by the EnsembleDataset; no tensor
+    The dataset holds the whole (N, M, C) tensor, each model's payload read
+    whole into its slice and checked once, by the EnsembleDataset; no tensor
     is allocated before open_dataset has checked every payload.
     """
     files = open_dataset(manifest_path)
     logits = np.empty((files.num_models, files.num_samples, files.num_classes), dtype="<f4")
-    for _ in files._read_chunks(logits):
-        pass
+    for path, out in zip(files.logit_paths, logits):
+        with _open_payload(path, LOGIT_MAGIC, out.shape) as payload:
+            _fill(payload, path, out, payload.tell() + out.nbytes)
     logits.setflags(write=False)  # handed to EnsembleDataset without a copy
     return EnsembleDataset(logits=logits, labels=files.labels, costs_ms=files.costs_ms)
 

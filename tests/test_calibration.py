@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from flexens.calibration import (
     CalibrationObjective,
     GridSpec,
+    ScheduleFile,
     calibrate,
     evaluate_objective,
     load_schedule,
@@ -266,14 +267,12 @@ class TestScheduleFile:
             alpha=0.5,
             grid_step=0.01,
             calibration_data="/data/train",
-            allow_same_split=True,
         )
         loaded = load_schedule(path)
         assert loaded.schedule.thresholds == schedule.thresholds
         assert loaded.alpha == 0.5
         assert loaded.grid_step == 0.01
         assert loaded.calibration_data == "/data/train"
-        assert loaded.allow_same_split is True
 
     def test_minimal_file_accepted(self, tmp_path):
         path = tmp_path / "schedule.json"
@@ -281,7 +280,6 @@ class TestScheduleFile:
         loaded = load_schedule(path)
         assert loaded.schedule.thresholds == (1.0, 1.0)
         assert loaded.alpha is None
-        assert loaded.allow_same_split is False
 
     def test_malformed_rejected(self, tmp_path):
         path = tmp_path / "schedule.json"
@@ -305,10 +303,6 @@ class TestScheduleFile:
             ({"alpha": "0.5"}, "alpha must be a number when present"),
             ({"grid_step": True}, "grid_step must be a number when present"),
             ({"calibration_data": 5}, "calibration_data must be a string when present"),
-            ({"allow_same_split": "false"}, "allow_same_split must be true or false when present"),
-            ({"allow_same_split": "no"}, "allow_same_split must be true or false when present"),
-            ({"allow_same_split": 1}, "allow_same_split must be true or false when present"),
-            ({"allow_same_split": 0}, "allow_same_split must be true or false when present"),
             # integers too large for a float
             ({"thresholds": [0.5, 10**400]}, "thresholds must be a list of numbers"),
             ({"alpha": 10**400}, "alpha must be a number when present"),
@@ -322,10 +316,9 @@ class TestScheduleFile:
             ({"alpha": 1.5}, "alpha must be in [0, 1], got 1.5"),
             ({"grid_step": 0.3}, "grid step 0.3 must divide [0, 1] evenly"),
         ],
-        ids=["not_object", "alpha", "grid_step", "calibration_data", "allow_same_split_string",
-             "allow_same_split_no", "allow_same_split_one", "allow_same_split_zero",
-             "huge_threshold", "huge_alpha", "huge_grid_step", "version_true", "version_float",
-             "nan_alpha", "infinite_grid_step", "alpha_above_one", "uneven_grid_step"],
+        ids=["not_object", "alpha", "grid_step", "calibration_data", "huge_threshold",
+             "huge_alpha", "huge_grid_step", "version_true", "version_float", "nan_alpha",
+             "infinite_grid_step", "alpha_above_one", "uneven_grid_step"],
     )
     def test_rejections_name_the_path(self, tmp_path, extra, message):
         path = tmp_path / "schedule.json"
@@ -335,8 +328,18 @@ class TestScheduleFile:
         with pytest.raises(MalformedScheduleError, match=f"^{re.escape(message)}$"):
             load_schedule(path)
 
-    @pytest.mark.parametrize("value, expected", [(None, False), (False, False), (True, True)])
-    def test_allow_same_split_takes_a_boolean_or_null(self, tmp_path, value, expected):
+    @pytest.mark.parametrize("value", [True, "false", 1, None])
+    def test_allow_same_split_key_is_ignored_like_any_unknown_key(self, tmp_path, value):
         path = tmp_path / "schedule.json"
-        path.write_text(json.dumps({"version": 1, "thresholds": [0.5], "allow_same_split": value}))
-        assert load_schedule(path).allow_same_split is expected
+        doc = {"version": 1, "thresholds": [0.5], "calibration_data": "/data/train"}
+        path.write_text(json.dumps({**doc, "allow_same_split": value, "comment": [value]}))
+        assert load_schedule(path) == ScheduleFile(
+            ThresholdSchedule((0.5,)), alpha=None, grid_step=None, calibration_data="/data/train"
+        )
+
+    def test_save_schedule_writes_unset_alpha_and_grid_step_as_null(self, tmp_path):
+        path = tmp_path / "schedule.json"
+        save_schedule(path, ThresholdSchedule((0.5,)))
+        assert json.loads(path.read_text()) == {
+            "version": 1, "alpha": None, "grid_step": None, "thresholds": [0.5]
+        }

@@ -24,6 +24,7 @@ from flexens.errors import (
     NonFiniteLogitError,
     NonPositiveCostError,
     ScheduleMismatchError,
+    ValidationError,
 )
 
 
@@ -116,6 +117,28 @@ class TestRunSample:
         with pytest.raises(NonFiniteLogitError) as dataset:
             EnsembleDataset(logits[:, None, :].astype(np.float32), np.zeros(1, np.int64), costs)
         assert str(single.value) == str(dataset.value)
+
+    @pytest.mark.parametrize(
+        "value",
+        [1e308, -1e308, float(np.nextafter(np.float64(np.finfo(np.float32).max), np.inf))],
+        ids=["overflows_the_sum", "negative", "just_above_float32_max"],
+    )
+    def test_rejects_logits_beyond_the_float32_range(self, value):
+        logits = [[0.0, value], [0.0, value]]
+        with pytest.raises(NonFiniteLogitError) as exc:
+            run_sample(logits, ThresholdSchedule((1.0,)), [1.0, 1.0])
+        assert (exc.value.model, exc.value.sample, exc.value.class_index) == (0, 0, 1)
+
+    def test_accepts_logits_at_the_float32_range_ends(self):
+        top = float(np.finfo(np.float32).max)
+        trace = run_sample([[0.0, top], [-top, 0.0]], ThresholdSchedule((1.0,)), [1.0, 1.0])
+        assert trace.models_used == 2
+        assert trace.margins.tolist() == [1.0, 1.0]
+        assert trace.prediction == 1
+
+    def test_rejects_costs_whose_total_is_not_finite(self):
+        with pytest.raises(ValidationError, match="^costs_ms .* overflow"):
+            run_sample(np.zeros((2, 3)), ThresholdSchedule((1.0,)), [1e308, 1e308])
 
     @pytest.mark.parametrize(
         "costs, model",

@@ -46,6 +46,17 @@ class TestGen:
         assert code == 1
         assert "error" in capsys.readouterr().err
 
+    def test_cost_total_beyond_the_float_range_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(["gen", "--models", "2", "--samples", "20", "--classes", "3",
+                     "--seed", "1", "--cost-ms", "1e307", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: costs_ms [1e+307, 1e+307] overflow: their total times num_samples=20 "
+            "must be finite\n"
+        )
+        assert not out.exists()
+
 
 class TestValidate:
     def test_prints_summary(self, tmp_path, capsys):
@@ -130,7 +141,7 @@ class TestUsageErrors:
                     "--sigma", "--cost-ms", "--out"],
             "validate": ["--data"],
             "baseline": ["--data", "--out"],
-            "calibrate": ["--data", "--alpha", "--grid-step", "--out", "--allow-same-split"],
+            "calibrate": ["--data", "--alpha", "--grid-step", "--out"],
             "run": ["--data", "--schedule", "--out", "--allow-same-split"],
             "histogram": ["--data", "--ensemble-size", "--bins", "--limit", "--out"],
         }
@@ -185,21 +196,25 @@ class TestPipeline:
                      "--out", str(report), "--allow-same-split"]) == 0
         assert report.exists()
 
-    def test_non_boolean_same_split_opt_in_is_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize("value", [True, "false", 1], ids=["true", "false_string", "one"])
+    def test_schedule_key_does_not_unlock_run(self, tmp_path, capsys, value):
+        # run --allow-same-split is the one opt-in; a key in the schedule is ignored
         train = gen_dataset(tmp_path, "train")
         schedule = tmp_path / "schedule.json"
         schedule.write_text(json.dumps({
             "version": 1, "thresholds": [0.5, 0.5],
-            "calibration_data": os.path.realpath(train), "allow_same_split": "false",
+            "calibration_data": os.path.realpath(train), "allow_same_split": value,
         }))
         report = tmp_path / "report.csv"
         capsys.readouterr()
         assert main(["run", "--data", str(train), "--schedule", str(schedule),
                      "--out", str(report)]) == 1
-        assert capsys.readouterr().err == (
-            f"error: {schedule}: allow_same_split must be true or false when present\n"
-        )
+        assert "--allow-same-split" in capsys.readouterr().err
         assert not report.exists()
+
+        assert main(["run", "--data", str(train), "--schedule", str(schedule),
+                     "--out", str(report), "--allow-same-split"]) == 0
+        assert report.exists()
 
     def test_threshold_too_large_for_a_float_exits_1(self, tmp_path, capsys):
         data = gen_dataset(tmp_path, "data")
@@ -214,13 +229,14 @@ class TestPipeline:
         )
         assert not report.exists()
 
-    def test_calibrate_side_opt_in_unlocks_run(self, tmp_path):
+    def test_calibrate_takes_no_same_split_opt_in(self, tmp_path, capsys):
         train = gen_dataset(tmp_path, "train")
         schedule = tmp_path / "schedule.json"
+        capsys.readouterr()
         assert main(["calibrate", "--data", str(train), "--grid-step", "0.25",
-                     "--out", str(schedule), "--allow-same-split"]) == 0
-        assert main(["run", "--data", str(train), "--schedule", str(schedule),
-                     "--out", str(tmp_path / "report.csv")]) == 0
+                     "--out", str(schedule), "--allow-same-split"]) == 1
+        assert "unrecognized arguments: --allow-same-split" in capsys.readouterr().err
+        assert not schedule.exists()
 
     @pytest.mark.parametrize(
         "gen_args",
@@ -263,11 +279,10 @@ class TestPipeline:
         assert main(["gen", "--models", "7", "--samples", "10000", "--classes", "10",
                      "--seed", "42", "--out", str(data)]) == 0
         assert main(["calibrate", "--data", str(data), "--alpha", "0.5",
-                     "--grid-step", "0.01", "--out", str(schedule),
-                     "--allow-same-split"]) == 0
+                     "--grid-step", "0.01", "--out", str(schedule)]) == 0
         capsys.readouterr()
         assert main(["run", "--data", str(data), "--schedule", str(schedule),
-                     "--out", str(report)]) == 0
+                     "--out", str(report), "--allow-same-split"]) == 0
         lines = report.read_text().splitlines()
         assert lines[1] == "schedule,0.8305,4.83847,0.414643,0.168966,2.9025"
         assert float(lines[1].split(",")[5]) < 7  # gated run skips models on average

@@ -35,8 +35,8 @@ from flexens.metrics_report import report
 
 commands = [
     "gen --models 7 --samples 10000 --classes 10 --seed 42 --out data",
-    "calibrate --data data --out calibrated.json --allow-same-split",
-    "run --data data --schedule calibrated.json --out run.csv",
+    "calibrate --data data --out calibrated.json",
+    "run --data data --schedule calibrated.json --out run.csv --allow-same-split",
     "baseline --data data --out baseline.csv",
 ]
 stdout = io.StringIO()

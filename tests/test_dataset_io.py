@@ -92,6 +92,34 @@ class TestValidation:
             )
         assert exc.value.model == 1
 
+    @pytest.mark.parametrize(
+        "num_samples, costs",
+        [(20, [1e307, 1e307]), (1, [1e308, 1e308])],
+        ids=["samples_times_total", "running_total"],
+    )
+    def test_cost_total_beyond_the_float_range(self, num_samples, costs):
+        logits = np.zeros((2, num_samples, 2), np.float32)
+        with pytest.raises(ValidationError) as exc:
+            EnsembleDataset(logits, np.zeros(num_samples, np.int64), costs)
+        assert type(exc.value) is ValidationError
+        assert str(exc.value) == (
+            f"costs_ms {costs} overflow: their total times num_samples={num_samples} "
+            "must be finite"
+        )
+
+    def test_cost_total_check_follows_every_cost_check(self):
+        logits = np.zeros((3, 1, 2), np.float32)
+        with pytest.raises(NonPositiveCostError) as exc:
+            EnsembleDataset(logits, np.zeros(1, np.int64), [1e308, 1e308, 0.0])
+        assert exc.value.model == 2
+
+    def test_largest_finite_cost_total_is_accepted(self):
+        top = float(np.finfo(np.float64).max)
+        ds = EnsembleDataset(np.zeros((1, 1, 2), np.float32), np.zeros(1, np.int64), [top])
+        assert stage_tables(ds).cum_costs_ms.tolist() == [top]
+        with pytest.raises(ValidationError, match="overflow"):
+            EnsembleDataset(np.zeros((1, 2, 2), np.float32), np.zeros(2, np.int64), [top])
+
     def test_arrays_are_frozen(self):
         ds = minimal_dataset()
         with pytest.raises(ValueError):
@@ -525,8 +553,16 @@ class TestStreamedChecks:
                 f"label {STREAM_CLASSES + 5} at sample={LAST_CHUNK + 1} is outside [0, 100)",
             ),
             ({"costs": [1.0, 2.0, -1.0]}, NonPositiveCostError, "cost -1.0 for model=2"),
+            # each cost and their total are finite, M times the total is not
+            (
+                {"costs": [1e306, 1e306, 1e306]},
+                ValidationError,
+                f"costs_ms [1e+306, 1e+306, 1e+306] overflow: their total times "
+                f"num_samples={STREAM_SAMPLES} must be finite",
+            ),
         ],
-        ids=["earliest_model_wins", "nan_before_label", "label_before_cost", "cost"],
+        ids=["earliest_model_wins", "nan_before_label", "label_before_cost", "cost",
+             "cost_total"],
     )
     def test_same_error_as_load_dataset(
         self, tmp_path, capsys, dataset_factory, bad, error, message
