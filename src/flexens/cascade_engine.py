@@ -16,14 +16,30 @@ in-memory EnsembleDataset, or a DatasetFiles handle that reads the payload
 files, checking them as it goes (see dataset_io). One loop takes a chunk of
 samples (about 64 Ki values per model) at a time from either, so beside its
 (N, M) outputs the build needs O(chunk) working memory however many samples
-there are, and no CLI command holds the (N, M, C) tensor. Every reduction
-runs along one sample's class axis, so chunking changes no output bit, and
-stage k depends only on models 1..k, so a build of the first k models gives
-the first k rows of the full one. run_sample and run_dataset share that
-arithmetic, so their results agree bit-for-bit. run_dataset returns a
-columnar CascadeRun, whose run[i] builds sample i's CascadeTrace on demand;
-metrics_report.report takes only this result, not a hand-built list of
-traces.
+there are, and no CLI command holds the (N, M, C) tensor. Stage k depends
+only on models 1..k, so a build of the first k models gives the first k rows
+of the full one.
+
+Two kernels compute the same bytes from a chunk's running logit sums. The
+row kernel, _prefix_stage_stats, is the reference definition: it holds each
+sample's classes in one contiguous row and reduces along it (max, sum,
+argmax, masked max). numpy pays a per-row loop overhead for each of those
+reductions, which dominates when the row is short. So up to
+_CLASS_MAJOR_MAX_CLASSES classes stage_tables lays each chunk out
+class-major, (N, C, n), for _class_major_stage_stats, whose every step is
+elementwise over all n samples at once; its class sum replays numpy's
+pairwise_sum, the order .sum(axis=-1) adds a row in, so no bit changes.
+The row kernel stays for wide C, where its reductions are cheap and the
+class-major kernel's C-long loops of numpy calls are not, and for
+run_sample, which has one sample per call. A class-major prototype used
+everywhere made the per_sample benchmark's wall_norm go from 134 to 179
+(+33%) and eval_c100's (C=100) 6-9% worse. Either way a sample's results
+do not depend on which other samples share its chunk, so chunking changes
+no output bit, and run_sample and run_dataset agree bit-for-bit.
+
+run_dataset returns a columnar CascadeRun, whose run[i] builds sample i's
+CascadeTrace on demand; metrics_report.report takes only this result, not
+a hand-built list of traces.
 """
 
 from __future__ import annotations
@@ -34,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset_io import DatasetFiles, EnsembleDataset, _cumulative_costs
+from .dataset_io import _FLOAT32_MAX, DatasetFiles, EnsembleDataset, _cumulative_costs
 from .errors import DimensionMismatchError, NonFiniteLogitError, ScheduleMismatchError
 
 
@@ -148,10 +164,11 @@ _TABLES_CACHE: "weakref.WeakKeyDictionary[EnsembleDataset | DatasetFiles, StageT
 def _prefix_stage_stats(prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Margins and predictions of every stage from float64 running logit sums.
 
-    prefix is (num_models, n, num_classes) with prefix[k] the sum of the first
-    k+1 models' logits; it is overwritten. Both results are (num_models, n).
-    Every reduction runs along one row's class axis, so a sample's results do
-    not depend on which other samples share the call.
+    The row kernel and the reference definition. prefix is (num_models, n,
+    num_classes) with prefix[k] the sum of the first k+1 models' logits; it
+    is overwritten. Both results are (num_models, n). Every reduction runs
+    along one row's class axis, so a sample's results do not depend on which
+    other samples share the call. It serves run_sample and wide class axes.
     """
     num_models, num_samples, num_classes = prefix.shape
     prefix /= np.arange(1, num_models + 1, dtype=np.float64)[:, None, None]
@@ -167,6 +184,101 @@ def _prefix_stage_stats(prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     rows.put(flat, -np.inf)
     shape = (num_models, num_samples)
     return (top - rows.max(axis=1)).reshape(shape), best.reshape(shape)
+
+
+# stage_tables builds class-major up to this many classes and row-major above.
+# Per chunk (N=7, 64 Ki values per model; copy, prefix sums and kernel) the
+# class-major build took 0.31x the row build's time at C=10, 0.73x at 32,
+# 0.87x at 48, 0.96x at 56 and 60, and 1.13x at 64 (2 vCPU AVX-512 Xeon,
+# numpy 2.4.6).
+_CLASS_MAJOR_MAX_CLASSES = 48
+
+# numpy's pairwise_sum adds up to this many values with 8 accumulators, and
+# halves longer runs
+_PAIRWISE_BLOCK = 128
+
+
+def _pairwise_sum(rows: np.ndarray, out: np.ndarray, spare: list) -> np.ndarray:
+    """Sum (num_models, K, n) rows over axis 1 into out, (num_models, n).
+
+    Each value is added in the order numpy's pairwise_sum adds a contiguous
+    row of K values, so out equals the row sum bit for bit where the values
+    are not negative (numpy adds the row's sum to 0.0, which then changes
+    nothing). spare holds three free buffers shaped like out.
+    """
+    num = rows.shape[1]
+    if num > _PAIRWISE_BLOCK:  # two halves, the first a multiple of 8 values long
+        half = num // 2 - num // 2 % 8
+        _pairwise_sum(rows[:, :half], out, spare)
+        out += _pairwise_sum(rows[:, half:], np.empty_like(out), spare)
+        return out
+    if num < 8:  # one accumulator
+        np.copyto(out, rows[:, 0])
+        for j in range(1, num):
+            out += rows[:, j]
+        return out
+    stop = num - num % 8
+    _pairwise_tree(rows, 0, 8, stop, out, spare)
+    for j in range(stop, num):
+        out += rows[:, j]
+    return out
+
+
+def _pairwise_tree(rows, first: int, width: int, stop: int, out, spare):
+    """((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)) for width 8, where
+    accumulator r_j adds rows j, j + 8, ... below stop in turn; a width-1 tree
+    of one row is that row's view, any other result is in out."""
+    if width == 1:
+        if stop == 8:
+            return rows[:, first]
+        np.add(rows[:, first], rows[:, first + 8], out=out)
+        for j in range(first + 16, stop, 8):
+            out += rows[:, j]
+        return out
+    half = width // 2
+    left = _pairwise_tree(rows, first, half, stop, out, spare)
+    right = _pairwise_tree(rows, first + half, half, stop, spare[0], spare[1:])
+    return np.add(left, right, out=out)
+
+
+def _class_major_stage_stats(prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """_prefix_stage_stats' results from class-major running sums, bit for bit.
+
+    prefix is (num_models, num_classes, n), the row kernel's input with its
+    last two axes swapped; it is overwritten. Every step is elementwise over
+    all n samples at once, so no reduction runs along a short row: the max
+    and the top two are exact in any order, the prediction is the first class
+    equal to the top, and the sum replays numpy's pairwise_sum. Its working
+    memory is four (num_models, n) arrays, one fewer than the row kernel's.
+    """
+    num_models, num_classes, _ = prefix.shape
+    prefix /= np.arange(1, num_models + 1, dtype=np.float64)[:, None, None]
+    top = np.maximum.reduce(prefix, axis=1)
+    prefix -= top[:, None]
+    np.exp(prefix, out=prefix)
+    total, lower = np.empty_like(top), np.empty_like(top)
+    _pairwise_sum(prefix, total, [top, lower, np.empty_like(top)])
+    prefix /= total[:, None]
+    # the top two counted with multiplicity, as the row kernel's masked max
+    # gives: each value moves the second up to min(top, value) at most
+    second = total
+    np.maximum(prefix[:, 0], prefix[:, 1], out=top)
+    np.minimum(prefix[:, 0], prefix[:, 1], out=second)
+    for j in range(2, num_classes):
+        np.minimum(top, prefix[:, j], out=lower)
+        np.maximum(second, lower, out=second)
+        np.maximum(top, prefix[:, j], out=top)
+    del lower  # so the peak stays the sum's four arrays
+    # the first class equal to the top holds the largest num_classes - j
+    key_type = np.min_scalar_type(num_classes)
+    rank, key = np.zeros(top.shape, dtype=key_type), np.empty(top.shape, dtype=key_type)
+    match = np.empty(top.shape, dtype=bool)
+    for j in range(num_classes):
+        np.equal(prefix[:, j], top, out=match)
+        np.multiply(match, key_type.type(num_classes - j), out=key)
+        np.maximum(rank, key, out=rank)
+    top -= second
+    return top, np.subtract(num_classes, rank, dtype=np.int64)
 
 
 def stage_tables(
@@ -185,16 +297,19 @@ def stage_tables(
     if tables is None or tables.num_models < models:
         margins = np.empty((models, source.num_samples), dtype=np.float64)
         predictions = np.empty((models, source.num_samples), dtype=np.int64)
+        class_major = source.num_classes <= _CLASS_MAJOR_MAX_CLASSES
+        kernel = _class_major_stage_stats if class_major else _prefix_stage_stats
         buffer = None
         for chunk, block in source.logit_chunks():
+            logits = block[:models].transpose(0, 2, 1) if class_major else block[:models]
             if buffer is None:  # the first chunk is the largest
-                buffer = np.empty((models, *block.shape[1:]), dtype=np.float64)
-            prefix = buffer[:, : block.shape[1]]
-            np.copyto(prefix, block[:models])
+                buffer = np.empty(logits.size, dtype=np.float64)
+            prefix = buffer[: logits.size].reshape(logits.shape)
+            np.copyto(prefix, logits)
             # the same sequential order as np.cumsum(axis=0), several times faster here
             for k in range(1, models):
                 prefix[k] += prefix[k - 1]
-            margins[:, chunk], predictions[:, chunk] = _prefix_stage_stats(prefix)
+            margins[:, chunk], predictions[:, chunk] = kernel(prefix)
         wrong = np.count_nonzero(predictions != source.labels, axis=1).astype(np.int64)
         cum_costs = np.array(_cumulative_costs(source.costs_ms[:models], source.num_samples))
         for arr in (margins, predictions, wrong, cum_costs):
@@ -220,9 +335,6 @@ def _models_used(margins: np.ndarray, thresholds) -> np.ndarray:
 def full_ensemble_predictions(dataset: EnsembleDataset | DatasetFiles) -> np.ndarray:
     """Predictions when every model is always evaluated."""
     return stage_tables(dataset).predictions[-1]
-
-
-_FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
 def run_sample(logits_per_model, schedule: ThresholdSchedule, costs_ms) -> CascadeTrace:

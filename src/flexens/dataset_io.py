@@ -77,6 +77,10 @@ LABEL_MAGIC = b"ENSY"
 # to float64, so its working set stays cache-sized whatever the number of samples
 _CHUNK_VALUES = 65536
 
+# import_csv and cascade_engine.run_sample refuse a logit whose magnitude exceeds
+# this, since a float32 cast would not keep it finite
+_FLOAT32_MAX = float(np.finfo(np.float32).max)
+
 
 def _sample_chunks(num_samples: int, num_classes: int) -> list[slice]:
     """Consecutive slices of samples holding about _CHUNK_VALUES values per model;
@@ -506,9 +510,10 @@ def import_csv(logits_csvs: Sequence, labels_csv, costs_ms) -> EnsembleDataset:
     """Build a dataset from per-model logit CSVs plus a label CSV.
 
     Files have no header row; logit cells are parsed as decimal reals and
-    stored at the canonical 32-bit precision (values outside float32 range
-    are rejected as non-finite). All logit files must agree on their row and
-    column counts.
+    stored at the canonical 32-bit precision. The first cell in (model,
+    sample, class) order that is not finite or whose magnitude exceeds the
+    float32 maximum, before rounding, is rejected as non-finite. All logit
+    files must agree on their row and column counts.
     """
     if len(logits_csvs) == 0:
         raise DimensionMismatchError("need at least one logits CSV")
@@ -563,5 +568,9 @@ def import_csv(logits_csvs: Sequence, labels_csv, costs_ms) -> EnsembleDataset:
                 str(label_path), r, 0, f"cannot parse {cells[0]!r} as an integer"
             ) from exc
 
-    logits = np.stack(matrices).astype(np.float32)
-    return EnsembleDataset(logits=logits, labels=labels, costs_ms=costs)
+    logits = np.stack(matrices)
+    magnitudes = np.abs(logits)
+    if not magnitudes.max() <= _FLOAT32_MAX:  # max propagates NaN, and NaN <= x is false
+        bad = np.unravel_index(np.argmin(magnitudes <= _FLOAT32_MAX), logits.shape)
+        raise NonFiniteLogitError(*map(int, bad))
+    return EnsembleDataset(logits=logits.astype(np.float32), labels=labels, costs_ms=costs)

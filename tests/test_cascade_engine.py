@@ -4,9 +4,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from flexens import cascade_engine
 from flexens.cascade_engine import (
+    _CLASS_MAJOR_MAX_CLASSES,
     CascadeTrace,
     ThresholdSchedule,
+    _class_major_stage_stats,
+    _prefix_stage_stats,
     full_ensemble_predictions,
     run_dataset,
     run_sample,
@@ -312,8 +316,16 @@ def tied_logits(rng, num_models, num_samples, num_classes) -> np.ndarray:
     return logits
 
 
+# class counts on both sides of the layout switch and of numpy's pairwise_sum
+# edges: 8 accumulators, blocks of at most 128 values, halving above that
+SWITCH_AND_PAIRWISE_EDGES = sorted(
+    {2, 3, 8, 9, 10, 16, 17, 32, 33, 100, 101, 128, 129, 257}
+    | {_CLASS_MAJOR_MAX_CLASSES, _CLASS_MAJOR_MAX_CLASSES + 1}
+)
+
+
 class TestChunkedStageTables:
-    @pytest.mark.parametrize("num_classes", [2, 3, 100, 101])
+    @pytest.mark.parametrize("num_classes", SWITCH_AND_PAIRWISE_EDGES)
     @pytest.mark.parametrize("num_models", [1, 3, 7])
     @pytest.mark.parametrize("chunks", ["one_sample", "one_chunk", "chunk_plus_one", "ragged"])
     def test_matches_whole_array_kernel_and_run_sample(
@@ -358,6 +370,44 @@ class TestChunkedStageTables:
             np.testing.assert_array_equal(streamed.predictions, tables.predictions[:models])
             np.testing.assert_array_equal(streamed.wrong_counts, tables.wrong_counts[:models])
             np.testing.assert_array_equal(streamed.cum_costs_ms, tables.cum_costs_ms[:models])
+
+    @pytest.mark.parametrize("num_classes", range(2, 258))
+    def test_class_major_kernel_equals_row_kernel(self, num_classes):
+        # one sample, a ragged tail and a full chunk of running sums, given to
+        # both kernels; the class-major one must replay the row sums bit for bit
+        step = max(1, _CHUNK_VALUES // num_classes)
+        for num_samples in (1, step // 3 + 1, step):
+            rng = np.random.default_rng([num_classes, num_samples])
+            logits = tied_logits(rng, 3, num_samples, num_classes)
+            logits[:, 1::5] += rng.normal(0, 4, logits[:, 1::5].shape).astype(np.float32)
+            prefix = np.cumsum(logits, axis=0, dtype=np.float64)
+            rows = _prefix_stage_stats(prefix.copy())
+            columns = _class_major_stage_stats(np.ascontiguousarray(prefix.transpose(0, 2, 1)))
+            assert columns[0].tobytes() == rows[0].tobytes(), num_samples
+            assert columns[1].dtype == np.int64
+            assert columns[1].tobytes() == rows[1].tobytes(), num_samples
+
+    def test_layout_switches_by_class_count_and_run_sample_stays_row_major(
+        self, monkeypatch, dataset_factory
+    ):
+        calls = []
+        for name in ("_prefix_stage_stats", "_class_major_stage_stats"):
+            kernel = getattr(cascade_engine, name)
+            monkeypatch.setattr(
+                cascade_engine, name, lambda p, k=kernel, n=name: calls.append(n) or k(p)
+            )
+        for num_classes, kernel in (
+            (2, "_class_major_stage_stats"),
+            (_CLASS_MAJOR_MAX_CLASSES, "_class_major_stage_stats"),
+            (_CLASS_MAJOR_MAX_CLASSES + 1, "_prefix_stage_stats"),
+        ):
+            ds = dataset_factory(np.random.default_rng(num_classes), num_classes=num_classes)
+            calls.clear()
+            stage_tables(ds)
+            assert set(calls) == {kernel}
+            calls.clear()
+            run_sample(ds.logits[:, 0], ThresholdSchedule.uniform(0.5, ds.num_models), ds.costs_ms)
+            assert calls == ["_prefix_stage_stats"]
 
     def test_prefix_build_reuses_a_larger_cached_build(self, dataset_factory):
         ds = dataset_factory(np.random.default_rng(4), num_models=3)

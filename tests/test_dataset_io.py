@@ -683,6 +683,42 @@ class TestCsvImport:
         with pytest.raises(NonFiniteLogitError):
             import_csv([logits], labels, [1.0])
 
+    @pytest.mark.parametrize(
+        "cells, first",
+        [
+            ({(0, 0, 0): "1e39"}, (0, 0, 0)),
+            ({(1, 1, 0): "-1e39", (1, 0, 1): "inf", (0, 1, 1): "3.4028235e38"}, (0, 1, 1)),
+            ({(1, 0, 1): "1e308", (1, 1, 0): "nan"}, (1, 0, 1)),
+        ],
+        ids=["overflows_the_cast", "first_in_model_sample_class_order", "nan_after_overflow"],
+    )
+    def test_cells_beyond_the_float32_range_are_rejected_before_the_cast(
+        self, tmp_path, cells, first
+    ):
+        # the cast would round them to inf with an overflow warning, and
+        # 3.4028235e38, just above the float32 maximum, down to that maximum
+        paths = [tmp_path / f"m{model}.csv" for model in range(2)]
+        for model, path in enumerate(paths):
+            rows = [["0", "0"], ["0", "0"]]
+            for (m, sample, column), text in cells.items():
+                if m == model:
+                    rows[sample][column] = text
+            path.write_text("".join(",".join(row) + "\n" for row in rows))
+        labels = tmp_path / "y.csv"
+        labels.write_text("0\n1\n")
+        with pytest.raises(NonFiniteLogitError) as exc:
+            import_csv(paths, labels, [1.0, 1.0])
+        assert (exc.value.model, exc.value.sample, exc.value.class_index) == first
+
+    def test_cells_at_the_float32_range_ends_are_kept(self, tmp_path):
+        top = float(np.finfo(np.float32).max)
+        logits = tmp_path / "m0.csv"
+        logits.write_text(f"{top!r},{-top!r}\n")
+        labels = tmp_path / "y.csv"
+        labels.write_text("0\n")
+        ds = import_csv([logits], labels, [1.0])
+        assert ds.logits[0].tolist() == [[top, -top]]
+
     def test_files_must_agree_on_shape(self, tmp_path):
         a = tmp_path / "m0.csv"
         a.write_text("0,0\n1,1\n")
