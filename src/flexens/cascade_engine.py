@@ -21,16 +21,21 @@ only on models 1..k, so a build of the first k models gives the first k rows
 of the full one.
 
 Two kernels compute the same bytes from a chunk's running logit sums. The
-row kernel, _prefix_stage_stats, is the reference definition: it holds each
-sample's classes in one contiguous row and reduces along it (max, sum,
-argmax, masked max). numpy pays a per-row loop overhead for each of those
-reductions, which dominates when the row is short. So up to
-_CLASS_MAJOR_MAX_CLASSES classes stage_tables lays each chunk out
-class-major, (N, C, n), for _class_major_stage_stats, whose every step is
-elementwise over all n samples at once; its class sum replays numpy's
-pairwise_sum, the order .sum(axis=-1) adds a row in, so no bit changes.
-The row kernel stays for wide C, where its reductions are cheap and the
-class-major kernel's C-long loops of numpy calls are not, and for
+definition is the softmax of the running mean, then its top two: divide the
+sums by k, subtract the row max, exp, divide by the row sum, and take the
+argmax, its value and the largest other value counted with multiplicity.
+Both kernels are checked against that definition, written out plainly in
+the tests. The row kernel, _prefix_stage_stats, holds each sample's classes
+in one contiguous row and reduces along it; it divides only the two values
+it keeps by the row sum, which is exact where the margin is positive, and
+recomputes the near ties where it is not. numpy pays a per-row loop
+overhead for each of its reductions, which dominates when the row is
+short. So up to _CLASS_MAJOR_MAX_CLASSES classes stage_tables lays each
+chunk out class-major, (N, C, n), for _class_major_stage_stats, whose
+every step is elementwise over all n samples at once; its class sum replays
+numpy's pairwise_sum, the order .sum(axis=-1) adds a row in, so no bit
+changes. The row kernel stays for wide C, where its reductions are cheap
+and the class-major kernel's C-long loops of numpy calls are not, and for
 run_sample, which has one sample per call. A class-major prototype used
 everywhere made the per_sample benchmark's wall_norm go from 134 to 179
 (+33%) and eval_c100's (C=100) 6-9% worse. Either way a sample's results
@@ -164,34 +169,57 @@ _TABLES_CACHE: "weakref.WeakKeyDictionary[EnsembleDataset | DatasetFiles, StageT
 def _prefix_stage_stats(prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Margins and predictions of every stage from float64 running logit sums.
 
-    The row kernel and the reference definition. prefix is (num_models, n,
-    num_classes) with prefix[k] the sum of the first k+1 models' logits; it
-    is overwritten. Both results are (num_models, n). Every reduction runs
-    along one row's class axis, so a sample's results do not depend on which
-    other samples share the call. It serves run_sample and wide class axes.
+    The row kernel. prefix is (num_models, n, num_classes) with prefix[k] the
+    sum of the first k+1 models' logits; it is overwritten. Both results are
+    (num_models, n). Every reduction runs along one row's class axis, so a
+    sample's results do not depend on which other samples share the call. It
+    serves run_sample and wide class axes.
+
+    The definition divides each exp'd row by its sum and then takes the
+    argmax and the masked max; this kernel divides only the two values it
+    keeps. Correctly rounded division by a positive sum is monotone, so the
+    largest quotient is the quotient of the largest value. Where the exp'd
+    value at the means' argmax, over the sum, exceeds the largest other
+    value over the sum, that class is the quotients' strict maximum, and the
+    prediction and margin are the definition's bytes. Any other row (a
+    margin of 0 or less) is a near tie, where exp or the division can round
+    an earlier class up to the top, so it is divided in full and reduced as
+    the definition does.
     """
     num_models, num_samples, num_classes = prefix.shape
     prefix /= np.arange(1, num_models + 1, dtype=np.float64)[:, None, None]
-    prefix -= prefix.max(axis=2, keepdims=True)
-    np.exp(prefix, out=prefix)
-    prefix /= prefix.sum(axis=2, keepdims=True)
     rows = prefix.reshape(-1, num_classes)
     best = rows.argmax(axis=1)
     flat = best + np.arange(0, rows.size, num_classes)
+    rows -= rows.take(flat)[:, None]
+    np.exp(rows, out=rows)
+    total = rows.sum(axis=1)
     top = rows.take(flat)
     # a tied maximum leaves another copy behind, so the masked max is the
     # second-largest value counted with multiplicity, as np.partition gives
     rows.put(flat, -np.inf)
+    second = rows.max(axis=1)
+    margins = top / total
+    margins -= np.divide(second, total, out=second)
+    if not margins.min() > 0:
+        tied = np.flatnonzero(margins <= 0)
+        rows.put(flat[tied], top[tied])
+        tie_rows = rows[tied] / total[tied, None]
+        best[tied] = tie_rows.argmax(axis=1)
+        tie_flat = best[tied] + np.arange(0, tie_rows.size, num_classes)
+        tie_top = tie_rows.take(tie_flat)
+        tie_rows.put(tie_flat, -np.inf)
+        margins[tied] = tie_top - tie_rows.max(axis=1)
     shape = (num_models, num_samples)
-    return (top - rows.max(axis=1)).reshape(shape), best.reshape(shape)
+    return margins.reshape(shape), best.reshape(shape)
 
 
 # stage_tables builds class-major up to this many classes and row-major above.
 # Per chunk (N=7, 64 Ki values per model; copy, prefix sums and kernel) the
-# class-major build took 0.31x the row build's time at C=10, 0.73x at 32,
-# 0.87x at 48, 0.96x at 56 and 60, and 1.13x at 64 (2 vCPU AVX-512 Xeon,
-# numpy 2.4.6).
-_CLASS_MAJOR_MAX_CLASSES = 48
+# class-major build took 0.47x the row build's time at C=10, 0.74x at 24,
+# 0.87x at 30, 0.98-1.01x at 32, 1.06-1.10x at 34 and 1.21x at 48 (2 vCPU
+# AVX-512 Xeon, numpy 2.4.6).
+_CLASS_MAJOR_MAX_CLASSES = 32
 
 # numpy's pairwise_sum adds up to this many values with 8 accumulators, and
 # halves longer runs
@@ -245,11 +273,12 @@ def _class_major_stage_stats(prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """_prefix_stage_stats' results from class-major running sums, bit for bit.
 
     prefix is (num_models, num_classes, n), the row kernel's input with its
-    last two axes swapped; it is overwritten. Every step is elementwise over
-    all n samples at once, so no reduction runs along a short row: the max
-    and the top two are exact in any order, the prediction is the first class
-    equal to the top, and the sum replays numpy's pairwise_sum. Its working
-    memory is four (num_models, n) arrays, one fewer than the row kernel's.
+    last two axes swapped; it is overwritten. It follows the definition step
+    by step, dividing every value by the class sum, but each step is
+    elementwise over all n samples at once, so no reduction runs along a
+    short row: the max and the top two are exact in any order, the
+    prediction is the first class equal to the top, and the sum replays
+    numpy's pairwise_sum. Its working memory is four (num_models, n) arrays.
     """
     num_models, num_classes, _ = prefix.shape
     prefix /= np.arange(1, num_models + 1, dtype=np.float64)[:, None, None]

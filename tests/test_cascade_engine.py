@@ -316,10 +316,25 @@ def tied_logits(rng, num_models, num_samples, num_classes) -> np.ndarray:
     return logits
 
 
+# (low, high) pairs whose gap exp rounds away: with every other class at 0 each
+# class exps to 1.0, so the definition predicts class 0, not the means' argmax
+NEAR_TIES = [(1e-20, 2e-20), (1e-45, 3e-45), (-1e-30, 1e-30)]  # 1e-45: float32 subnormals
+
+
+def add_near_ties(logits, samples) -> None:
+    """Give each listed sample, in every model, one of NEAR_TIES at a class pair
+    that moves along the row, and 0 elsewhere."""
+    num_classes = logits.shape[2]
+    for i, sample in enumerate(samples):
+        first = 5 * i % (num_classes - 1)
+        logits[:, sample] = 0.0
+        logits[:, sample, first : first + 2] = NEAR_TIES[i % len(NEAR_TIES)]
+
+
 # class counts on both sides of the layout switch and of numpy's pairwise_sum
 # edges: 8 accumulators, blocks of at most 128 values, halving above that
 SWITCH_AND_PAIRWISE_EDGES = sorted(
-    {2, 3, 8, 9, 10, 16, 17, 32, 33, 100, 101, 128, 129, 257}
+    {2, 3, 8, 9, 10, 16, 17, 32, 33, 48, 49, 100, 101, 128, 129, 257}
     | {_CLASS_MAJOR_MAX_CLASSES, _CLASS_MAJOR_MAX_CLASSES + 1}
 )
 
@@ -374,18 +389,47 @@ class TestChunkedStageTables:
     @pytest.mark.parametrize("num_classes", range(2, 258))
     def test_class_major_kernel_equals_row_kernel(self, num_classes):
         # one sample, a ragged tail and a full chunk of running sums, given to
-        # both kernels; the class-major one must replay the row sums bit for bit
+        # both kernels; each must give the definition's bytes, near ties too
         step = max(1, _CHUNK_VALUES // num_classes)
         for num_samples in (1, step // 3 + 1, step):
             rng = np.random.default_rng([num_classes, num_samples])
             logits = tied_logits(rng, 3, num_samples, num_classes)
             logits[:, 1::5] += rng.normal(0, 4, logits[:, 1::5].shape).astype(np.float32)
+            add_near_ties(logits, range(2, num_samples, 5))
+            margins, predictions = reference_stage_stats(logits.astype(np.float64))
             prefix = np.cumsum(logits, axis=0, dtype=np.float64)
             rows = _prefix_stage_stats(prefix.copy())
             columns = _class_major_stage_stats(np.ascontiguousarray(prefix.transpose(0, 2, 1)))
-            assert columns[0].tobytes() == rows[0].tobytes(), num_samples
-            assert columns[1].dtype == np.int64
-            assert columns[1].tobytes() == rows[1].tobytes(), num_samples
+            for kernel in (rows, columns):
+                assert kernel[0].tobytes() == margins.tobytes(), num_samples
+                assert kernel[1].dtype == np.int64
+                assert kernel[1].tobytes() == predictions.tobytes(), num_samples
+
+    @pytest.mark.parametrize(
+        "num_classes", [2, 10, _CLASS_MAJOR_MAX_CLASSES, _CLASS_MAJOR_MAX_CLASSES + 1, 100, 257]
+    )
+    def test_near_ties_match_the_definition_not_the_means_argmax(self, num_classes):
+        # the row kernel predicts the means' argmax unless its margin is 0 or
+        # less; these rows need that fix-up, which exact ties alone do not test
+        num_models, num_samples = 3, 40
+        rng = np.random.default_rng([num_classes, 11])
+        logits = rng.normal(0, 3, (num_models, num_samples, num_classes)).astype(np.float32)
+        near_ties = range(0, num_samples, 2)
+        add_near_ties(logits, near_ties)
+        labels = rng.integers(0, num_classes, num_samples)
+        ds = EnsembleDataset(logits, labels, np.ones(num_models))
+        margins, predictions = reference_stage_stats(logits.astype(np.float64))
+        means_argmax = np.cumsum(logits, axis=0, dtype=np.float64).argmax(axis=2)
+        assert (means_argmax != predictions)[:, near_ties].all()
+
+        tables = stage_tables(ds)
+        assert tables.margins.tobytes() == margins.tobytes()
+        assert tables.predictions.tobytes() == predictions.tobytes()
+        never_stop = ThresholdSchedule.uniform(1.0, num_models)
+        for sample in range(num_samples):
+            single = run_sample(logits[:, sample], never_stop, ds.costs_ms)
+            assert single.margins.tobytes() == margins[:, sample].tobytes()
+            assert single.prediction == predictions[-1, sample]
 
     def test_layout_switches_by_class_count_and_run_sample_stays_row_major(
         self, monkeypatch, dataset_factory

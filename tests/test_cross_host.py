@@ -1,14 +1,15 @@
 """Scores, decisions and CSV text do not depend on the CPU.
 
 Each setting below runs one small pipeline in a fresh interpreter: gen,
-calibrate, run and baseline through the CLI, then report on a few schedules
-through the library. OPENBLAS_CORETYPE picks OpenBLAS's kernels, so Haswell
-and Prescott stand in for CPUs other than this one, and
-NPY_ENABLE_CPU_FEATURES=X86_V3 switches off numpy's AVX-512 loops. Every
-setting must give the default's thresholds, CLI stdout, CSV bytes, stage
-predictions, per-sample exit stages and every EvaluationReport field by
-repr. The seed-42 config gives a different calibrated R under Haswell and
-Prescott when R is scored by a BLAS dot.
+calibrate, run and baseline through the CLI at C=10; gen, run and baseline
+on a C=100 dataset, whose stage tables the row kernel builds; then report
+on a few C=10 schedules through the library. OPENBLAS_CORETYPE picks
+OpenBLAS's kernels, so Haswell and Prescott stand in for CPUs other than
+this one, and NPY_ENABLE_CPU_FEATURES=X86_V3 switches off numpy's AVX-512
+loops. Every setting must give the default's thresholds, CLI stdout, CSV
+bytes, stage predictions, per-sample exit stages and every EvaluationReport
+field by repr. The seed-42 config gives a different calibrated R under
+Haswell and Prescott when R is scored by a BLAS dot.
 
 Margins are left out on purpose: np.exp's last bit depends on the loop
 numpy dispatches, so margins are stable only per numpy build and dispatch
@@ -38,6 +39,10 @@ commands = [
     "calibrate --data data --out calibrated.json",
     "run --data data --schedule calibrated.json --out run.csv --allow-same-split",
     "baseline --data data --out baseline.csv",
+    # C=100 builds its tables with the row kernel, C=10 with the class-major one
+    "gen --models 7 --samples 2000 --classes 100 --seed 43 --out wide",
+    "run --data wide --schedule calibrated.json --out wide_run.csv",
+    "baseline --data wide --out wide_baseline.csv",
 ]
 stdout = io.StringIO()
 with contextlib.redirect_stdout(stdout):
@@ -58,8 +63,14 @@ print(json.dumps({
     "exit_codes": codes,
     "thresholds": calibrated.thresholds,
     "stdout": stdout.getvalue(),
-    "csv": {name: open(name).read() for name in ("run.csv", "baseline.csv")},
-    "predictions": hashlib.sha256(stage_tables(dataset).predictions.tobytes()).hexdigest(),
+    "csv": {
+        name: open(name).read()
+        for name in ("run.csv", "baseline.csv", "wide_run.csv", "wide_baseline.csv")
+    },
+    "predictions": [
+        hashlib.sha256(stage_tables(source).predictions.tobytes()).hexdigest()
+        for source in (dataset, open_dataset(f"wide/{MANIFEST_NAME}"))
+    ],
     "exit_stages": exit_stages,
     "reports": reports,
 }))
@@ -112,5 +123,5 @@ def pipeline_outputs(tmp_path_factory):
 def test_pipeline_matches_the_default_setting(pipeline_outputs, setting):
     if not _runs_here(setting):
         pytest.skip(f"numpy cannot run {SETTINGS[setting]} on this host")
-    assert pipeline_outputs["default"]["exit_codes"] == [0, 0, 0, 0]
+    assert pipeline_outputs["default"]["exit_codes"] == [0] * 7
     assert pipeline_outputs[setting] == pipeline_outputs["default"]
