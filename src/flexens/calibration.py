@@ -112,6 +112,7 @@ def calibrate(
     candidates = grid.values()
     stop_levels = _stop_levels(candidates)
     full_wrong = tables.predictions[-1] != labels
+    cum_costs, full_wrong_count = tables.cum_costs_ms.tolist(), tables.wrong_counts[-1]
 
     alive = np.arange(dataset.num_samples)  # samples no chosen threshold has stopped
     done_counts = np.zeros(num_models, dtype=np.int64)  # exits at the chosen stages
@@ -134,7 +135,8 @@ def calibrate(
             counts[stage] += alive.size - stay
             counts[-1] += stay
             wrong = done_wrong + int(exit_wrong[-1] - exit_wrong[stay] + full_wrong_below[stay])
-            value = _objective(alpha, score_counts(tables, counts, wrong)).value
+            rep = score_counts(dataset.num_samples, cum_costs, full_wrong_count, counts, wrong)
+            value = _objective(alpha, rep).value
             # strict < keeps the earliest (lowest) candidate on plateaus
             if value < best_value:
                 best_value, best = value, i

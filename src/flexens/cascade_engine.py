@@ -11,14 +11,18 @@ rounds the margin to exactly 1.0, which reproduces full-ensemble execution.
 Because the per-stage margins and predictions of a sample do not depend on
 the threshold schedule, they are computed once per dataset as schedule
 independent "stage tables" and cached; running a schedule is then a cheap
-vectorized scan. stage_tables builds them from a chunk source: an
-in-memory EnsembleDataset, or a DatasetFiles handle that reads the payload
-files, checking them as it goes (see dataset_io). One loop takes a chunk of
-samples (about 64 Ki values per model) at a time from either, so beside its
-(N, M) outputs the build needs O(chunk) working memory however many samples
-there are, and no CLI command holds the (N, M, C) tensor. Stage k depends
-only on models 1..k, so a build of the first k models gives the first k rows
-of the full one.
+vectorized scan. One generator, _stage_chunks, computes them from a chunk
+source: an in-memory EnsembleDataset, or a DatasetFiles handle that reads
+the payload files, checking them as it goes (see dataset_io). It takes a
+chunk of samples (about 64 Ki values per model) at a time from either and
+yields that chunk's margins and predictions, so it needs O(chunk) working
+memory however many samples there are. stage_tables stores what it yields
+as the (N, M) tables. metrics_report's sweeps and histogram instead reduce
+each chunk to counts as it comes, so the CLI's run, baseline and histogram
+hold neither the (N, M, C) tensor nor the (N, M) tables; a source whose
+tables are already cached is served slices of them. Stage k depends only on
+models 1..k, so a build of the first k models gives the first k rows of the
+full one.
 
 Two kernels compute the same bytes from a chunk's running logit sums. The
 definition is the softmax of the running mean, then its top two: divide the
@@ -187,7 +191,7 @@ def _prefix_stage_stats(prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     the definition does.
     """
     num_models, num_samples, num_classes = prefix.shape
-    prefix /= np.arange(1, num_models + 1, dtype=np.float64)[:, None, None]
+    prefix[1:] /= np.arange(2, num_models + 1, dtype=np.float64)[:, None, None]
     rows = prefix.reshape(-1, num_classes)
     best = rows.argmax(axis=1)
     flat = best + np.arange(0, rows.size, num_classes)
@@ -281,7 +285,7 @@ def _class_major_stage_stats(prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray
     numpy's pairwise_sum. Its working memory is four (num_models, n) arrays.
     """
     num_models, num_classes, _ = prefix.shape
-    prefix /= np.arange(1, num_models + 1, dtype=np.float64)[:, None, None]
+    prefix[1:] /= np.arange(2, num_models + 1, dtype=np.float64)[:, None, None]
     top = np.maximum.reduce(prefix, axis=1)
     prefix -= top[:, None]
     np.exp(prefix, out=prefix)
@@ -310,6 +314,43 @@ def _class_major_stage_stats(prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return top, np.subtract(num_classes, rank, dtype=np.int64)
 
 
+def _stage_chunks(
+    source: EnsembleDataset | DatasetFiles, num_models: int, stop: int | None = None
+):
+    """Yield (samples, margins, predictions) of the first num_models stages, a
+    chunk of samples at a time, margins and predictions (num_models, n).
+
+    Only the samples below stop (default all) are yielded, and the kernel runs
+    only on the chunks that hold them, but every chunk is still read, so a
+    DatasetFiles pass checks all of them; it raises at its end, once the
+    consumer has taken every chunk. A source whose cached tables cover
+    num_models stages is served as one slice of them.
+    """
+    stop = source.num_samples if stop is None else min(stop, source.num_samples)
+    tables = _TABLES_CACHE.get(source)
+    if tables is not None and tables.num_models >= num_models:
+        rows = slice(num_models)
+        yield slice(stop), tables.margins[rows, :stop], tables.predictions[rows, :stop]
+        return
+    class_major = source.num_classes <= _CLASS_MAJOR_MAX_CLASSES
+    kernel = _class_major_stage_stats if class_major else _prefix_stage_stats
+    buffer = None
+    for samples, block in source.logit_chunks():
+        if samples.start >= stop:
+            continue
+        samples = slice(samples.start, min(samples.stop, stop))
+        block = block[:num_models, : samples.stop - samples.start]
+        logits = block.transpose(0, 2, 1) if class_major else block
+        if buffer is None:  # the first chunk is the largest
+            buffer = np.empty(logits.size, dtype=np.float64)
+        prefix = buffer[: logits.size].reshape(logits.shape)
+        np.copyto(prefix, logits)
+        # the same sequential order as np.cumsum(axis=0), several times faster here
+        for k in range(1, num_models):
+            prefix[k] += prefix[k - 1]
+        yield samples, *kernel(prefix)
+
+
 def stage_tables(
     source: EnsembleDataset | DatasetFiles, num_models: int | None = None
 ) -> StageTables:
@@ -326,19 +367,10 @@ def stage_tables(
     if tables is None or tables.num_models < models:
         margins = np.empty((models, source.num_samples), dtype=np.float64)
         predictions = np.empty((models, source.num_samples), dtype=np.int64)
-        class_major = source.num_classes <= _CLASS_MAJOR_MAX_CLASSES
-        kernel = _class_major_stage_stats if class_major else _prefix_stage_stats
-        buffer = None
-        for chunk, block in source.logit_chunks():
-            logits = block[:models].transpose(0, 2, 1) if class_major else block[:models]
-            if buffer is None:  # the first chunk is the largest
-                buffer = np.empty(logits.size, dtype=np.float64)
-            prefix = buffer[: logits.size].reshape(logits.shape)
-            np.copyto(prefix, logits)
-            # the same sequential order as np.cumsum(axis=0), several times faster here
-            for k in range(1, models):
-                prefix[k] += prefix[k - 1]
-            margins[:, chunk], predictions[:, chunk] = kernel(prefix)
+        for samples, chunk_margins, chunk_predictions in _stage_chunks(source, models):
+            margins[:, samples], predictions[:, samples] = chunk_margins, chunk_predictions
+            # freed before the next chunk's kernel runs, which would otherwise raise the peak
+            del chunk_margins, chunk_predictions
         wrong = np.count_nonzero(predictions != source.labels, axis=1).astype(np.int64)
         cum_costs = np.array(_cumulative_costs(source.costs_ms[:models], source.num_samples))
         for arr in (margins, predictions, wrong, cum_costs):

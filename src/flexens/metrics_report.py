@@ -13,7 +13,14 @@ candidates with it. So a baseline row and a gated run that stops at the
 same stage are the same numbers. score_counts sums the gated cost over
 stages left to right with one rounding per step, a fused multiply-add
 computed exactly in integers, and calls no BLAS kernel, so every R and E
-is the same on every CPU. Every CSV is written atomically.
+is the same on every CPU.
+
+report scores a CascadeRun, which holds the (N, M) stage tables.
+flexible_sweep, ensemble_size_sweep and margin_histogram do not build
+them: they add up each chunk's exit counts, wrong counts and histogram
+counts as cascade_engine._stage_chunks yields it, for every schedule of a
+sweep in the same pass. Counts add exactly, so their results equal the
+tabled route's. Every CSV is written atomically.
 """
 
 from __future__ import annotations
@@ -23,8 +30,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .cascade_engine import CascadeRun, StageTables, ThresholdSchedule, run_dataset, stage_tables
-from .dataset_io import DatasetFiles, EnsembleDataset, write_atomic
+from .cascade_engine import CascadeRun, ThresholdSchedule, _models_used, _stage_chunks
+from .dataset_io import DatasetFiles, EnsembleDataset, _cumulative_costs, write_atomic
 
 DEFAULT_HISTOGRAM_BINS = 50
 SWEEP_CSV_HEADER = "config,accuracy,avg_cost_ms,R,E,avg_models"
@@ -75,46 +82,50 @@ def relative_error_increase(flexible_error: float, full_error: float) -> float:
     return (flexible_error - full_error) / full_error
 
 
-def score_counts(tables: StageTables, exit_counts: np.ndarray, wrong: int) -> EvaluationReport:
+def score_counts(
+    num_samples: int,
+    cum_costs_ms: Sequence[float],
+    full_wrong: int,
+    exit_counts: np.ndarray,
+    wrong: int,
+) -> EvaluationReport:
     """Score a run given only its per-stage exit counts and its number of wrong predictions.
 
-    exit_counts[k-1] is the number of samples stopping after k models (int64).
-    report, ensemble_size_sweep and calibrate (which never materializes
-    `used`) all score here, so every R and E comes from the same arithmetic
-    in the same order.
+    cum_costs_ms[k-1] is the cost of running the first k models (floats, as
+    dataset_io._cumulative_costs gives them), full_wrong the number of wrong
+    full-ensemble predictions, and exit_counts[k-1] the number of samples
+    stopping after k models (int64). report, the two sweeps and calibrate
+    (which never materializes `used`) all score here, so every R and E comes
+    from the same arithmetic in the same order.
 
     The gated cost total is summed over stages left to right, each step
     total = fma(count_k, cum_cost_k, total): the exact value rounded once, as
-    IEEE 754 fusedMultiplyAdd (C fma) gives it, and inf beyond the float
-    range. Both floats are exact fractions with power-of-two denominators,
-    so the step is one correctly rounded int / int division. Zero counts are
-    skipped, which is exact since fma(0, x, t) = t for finite x. No BLAS
-    kernel is involved, so the sum, and with it every R, E and calibration
-    tie-break, is the same on every CPU. Every other value comes from IEEE
-    + - * / on Python ints and floats, which round the same everywhere, and
-    every real field is a Python float.
+    IEEE 754 fusedMultiplyAdd (C fma) gives it. Both floats are exact
+    fractions with power-of-two denominators, so the step is one correctly
+    rounded int / int division. Zero counts are skipped, which is exact since
+    fma(0, x, t) = t for finite x. The costs were checked so that
+    num_samples times their total is finite, which bounds every total here.
+    No BLAS kernel is involved, so the sum, and with it every R, E and
+    calibration tie-break, is the same on every CPU. Every other value comes
+    from IEEE + - * / on Python ints and floats, which round the same
+    everywhere, and every real field is a Python float.
     """
-    num_samples = tables.num_samples
-    wrong = int(wrong)
+    wrong, full_wrong = int(wrong), int(full_wrong)
     gated_cost_total, models_total = 0.0, 0
-    for k, (count, cost) in enumerate(zip(exit_counts.tolist(), tables.cum_costs_ms.tolist()), 1):
+    for k, (count, cost) in enumerate(zip(exit_counts.tolist(), cum_costs_ms), 1):
         if count:
             models_total += k * count
-            try:
-                (p, q), (r, s) = cost.as_integer_ratio(), gated_cost_total.as_integer_ratio()
-                d = max(q, s)  # both denominators are powers of two
-                gated_cost_total = (count * p * (d // q) + r * (d // s)) / d
-            except OverflowError:  # beyond the float range, where fma gives inf
-                gated_cost_total = np.inf
-    full_cost_total = num_samples * float(tables.cum_costs_ms[-1])
-    full_error = int(tables.wrong_counts[-1]) / num_samples
+            (p, q), (r, s) = cost.as_integer_ratio(), gated_cost_total.as_integer_ratio()
+            d = max(q, s)  # both denominators are powers of two
+            gated_cost_total = (count * p * (d // q) + r * (d // s)) / d
+    full_cost_total = num_samples * float(cum_costs_ms[-1])
 
     return EvaluationReport(
         accuracy=(num_samples - wrong) / num_samples,
         avg_cost_ms=gated_cost_total / num_samples,
         avg_models=models_total / num_samples,
         latency_ratio=gated_cost_total / full_cost_total,
-        error_increase=relative_error_increase(wrong / num_samples, full_error),
+        error_increase=relative_error_increase(wrong / num_samples, full_wrong / num_samples),
         exit_counts=exit_counts,
     )
 
@@ -128,7 +139,11 @@ def report(dataset: EnsembleDataset | DatasetFiles, run: CascadeRun) -> Evaluati
     tables, used = run.tables, run.models_used
     exit_counts = np.bincount(used, minlength=tables.num_models + 1)[1:]
     exit_predictions = tables.predictions[used - 1, np.arange(used.size)]
-    return score_counts(tables, exit_counts, np.count_nonzero(exit_predictions != dataset.labels))
+    wrong = np.count_nonzero(exit_predictions != dataset.labels)
+    return score_counts(
+        tables.num_samples, tables.cum_costs_ms.tolist(), tables.wrong_counts[-1],
+        exit_counts, wrong,
+    )
 
 
 def margin_histogram(
@@ -141,7 +156,10 @@ def margin_histogram(
 
     Bins are equal-width over [0, 1]. limit restricts the tally to the first
     `limit` samples (clamped to the dataset size), which keeps subset runs
-    deterministic.
+    deterministic; the stages of later samples are not computed, but their
+    logits are still read and checked. Each chunk of samples is tallied with
+    the same edges and the counts added, which is exact: a value's bin
+    depends only on the value.
     """
     if not (1 <= ensemble_size <= dataset.num_models):
         raise ValueError(
@@ -149,19 +167,16 @@ def margin_histogram(
         )
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
-    take = dataset.num_samples
-    if limit is not None:
-        if limit < 1:
-            raise ValueError(f"limit must be >= 1, got {limit}")
-        take = min(limit, take)
-
-    tables = stage_tables(dataset, ensemble_size)
-    margins = tables.margins[ensemble_size - 1, :take]
-    correct = tables.predictions[ensemble_size - 1, :take] == dataset.labels[:take]
+    if limit is not None and limit < 1:
+        raise ValueError(f"limit must be >= 1, got {limit}")
 
     edges = np.linspace(0.0, 1.0, bins + 1)
-    correct_counts, _ = np.histogram(margins[correct], bins=edges)
-    wrong_counts, _ = np.histogram(margins[~correct], bins=edges)
+    correct_counts = np.zeros(bins, dtype=np.int64)
+    wrong_counts = np.zeros(bins, dtype=np.int64)
+    for samples, margins, predictions in _stage_chunks(dataset, ensemble_size, limit):
+        correct = predictions[-1] == dataset.labels[samples]
+        correct_counts += np.histogram(margins[-1][correct], bins=edges)[0]
+        wrong_counts += np.histogram(margins[-1][~correct], bins=edges)[0]
     return MarginHistogram(
         bin_edges=edges, correct_counts=correct_counts, wrong_counts=wrong_counts
     )
@@ -176,20 +191,44 @@ def _row(config: str, rep: EvaluationReport) -> SweepRow:
 def ensemble_size_sweep(dataset: EnsembleDataset | DatasetFiles) -> list[SweepRow]:
     """One row per truncated ensemble size k = 1..N under full (ungated) execution,
     scored as the run in which every sample stops after k models."""
-    tables = stage_tables(dataset)
+    num_models, num_samples = dataset.num_models, dataset.num_samples
+    wrong = np.zeros(num_models, dtype=np.int64)
+    for samples, _, predictions in _stage_chunks(dataset, num_models):
+        wrong += np.count_nonzero(predictions != dataset.labels[samples], axis=1)
+    cum_costs = _cumulative_costs(dataset.costs_ms, num_samples)
     rows = []
-    for k, wrong in enumerate(tables.wrong_counts.tolist(), start=1):
-        exit_counts = np.zeros(tables.num_models, dtype=np.int64)
-        exit_counts[k - 1] = tables.num_samples
-        rows.append(_row(f"full_{k}", score_counts(tables, exit_counts, wrong)))
+    for k, wrong_k in enumerate(wrong.tolist(), start=1):
+        exit_counts = np.zeros(num_models, dtype=np.int64)
+        exit_counts[k - 1] = num_samples
+        rep = score_counts(num_samples, cum_costs, wrong[-1], exit_counts, wrong_k)
+        rows.append(_row(f"full_{k}", rep))
     return rows
 
 
 def flexible_sweep(
     dataset: EnsembleDataset | DatasetFiles, schedules: Sequence[tuple[str, ThresholdSchedule]]
 ) -> list[SweepRow]:
-    """One row per named schedule under gated execution."""
-    return [_row(config, report(dataset, run_dataset(dataset, s))) for config, s in schedules]
+    """One row per named schedule under gated execution, every schedule scored
+    in one pass over the stages; each row equals report(dataset, run_dataset(...))."""
+    num_models, num_samples = dataset.num_models, dataset.num_samples
+    for _, schedule in schedules:
+        schedule.validate_for(num_models)
+    exit_counts = np.zeros((len(schedules), num_models + 1), dtype=np.int64)
+    wrong = [0] * len(schedules)
+    full_wrong = 0
+    for samples, margins, predictions in _stage_chunks(dataset, num_models):
+        labels = dataset.labels[samples]
+        full_wrong += np.count_nonzero(predictions[-1] != labels)
+        columns = np.arange(labels.size)
+        for i, (_, schedule) in enumerate(schedules):
+            used = _models_used(margins, schedule.thresholds)
+            exit_counts[i] += np.bincount(used, minlength=num_models + 1)
+            wrong[i] += np.count_nonzero(predictions[used - 1, columns] != labels)
+    cum_costs = _cumulative_costs(dataset.costs_ms, num_samples)
+    return [
+        _row(config, score_counts(num_samples, cum_costs, full_wrong, counts[1:], wrong_i))
+        for (config, _), counts, wrong_i in zip(schedules, exit_counts, wrong)
+    ]
 
 
 def _write_csv(path, header: str, rows) -> None:

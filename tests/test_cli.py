@@ -11,7 +11,7 @@ import pytest
 from flexens.calibration import save_schedule
 from flexens.cascade_engine import ThresholdSchedule
 from flexens.cli import main
-from flexens.dataset_io import save_dataset
+from flexens.dataset_io import EnsembleDataset, save_dataset
 
 GEN_ARGS = ["--models", "3", "--samples", "120", "--classes", "4", "--seed", "7"]
 
@@ -287,25 +287,6 @@ class TestPipeline:
         assert lines[1] == "schedule,0.8305,4.83847,0.414643,0.168966,2.9025"
         assert float(lines[1].split(",")[5]) < 7  # gated run skips models on average
 
-    def test_run_holds_its_outputs_not_the_tensor(self, tmp_path, dataset_factory):
-        # loading the dataset held its 6 MB float32 tensor
-        ds = dataset_factory(
-            np.random.default_rng(8), num_models=3, num_samples=5000, num_classes=100
-        )
-        save_dataset(ds, tmp_path / "data")
-        schedule = tmp_path / "schedule.json"
-        save_schedule(schedule, ThresholdSchedule.uniform(0.5, 3))
-        args = ["run", "--data", str(tmp_path / "data"), "--schedule", str(schedule),
-                "--out", str(tmp_path / "report.csv")]
-        tracemalloc.start()
-        try:
-            assert main(args) == 0
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        outputs = 16 * ds.num_models * ds.num_samples  # float64 margins, int64 predictions
-        assert peak < outputs + 4 * 2**20
-
     def test_run_schedule_length_mismatch_exits_1(self, tmp_path, capsys):
         data = gen_dataset(tmp_path, "data")
         schedule = tmp_path / "short.json"
@@ -317,6 +298,44 @@ class TestPipeline:
         data = gen_dataset(tmp_path, "data")
         assert main(["run", "--data", str(data), "--schedule", str(tmp_path / "no.json"),
                      "--out", str(tmp_path / "r.csv")]) == 2
+
+
+WIDE_MODELS, WIDE_SAMPLES, WIDE_CLASSES = 3, 150_000, 10
+
+
+@pytest.fixture(scope="module")
+def wide_data(tmp_path_factory):
+    """A saved dataset of WIDE_SAMPLES samples (18 MB of logits), plus a
+    schedule; its stage tables alone would take 6.9 MiB."""
+    root = tmp_path_factory.mktemp("wide")
+    rng = np.random.default_rng(8)
+    num_models, num_samples, num_classes = WIDE_MODELS, WIDE_SAMPLES, WIDE_CLASSES
+    logits = rng.normal(0.0, 2.0, size=(num_models, num_samples, num_classes)).astype(np.float32)
+    labels = rng.integers(0, num_classes, size=num_samples)
+    save_dataset(EnsembleDataset(logits, labels, [1.0, 2.0, 3.0]), root / "data")
+    save_schedule(root / "schedule.json", ThresholdSchedule.uniform(0.5, num_models))
+    return root
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["run", "--schedule", "{root}/schedule.json"], ["baseline"],
+     ["histogram", "--ensemble-size", "3"]],
+    ids=["run", "baseline", "histogram"],
+)
+def test_commands_hold_neither_the_tensor_nor_the_stage_tables(wide_data, command):
+    args = [arg.format(root=wide_data) for arg in command]
+    args += ["--data", str(wide_data / "data"), "--out", str(wide_data / "out.csv")]
+    tracemalloc.start()
+    try:
+        assert main(args) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    labels = 12 * WIDE_SAMPLES  # int64 labels and the u32 payload they are read from
+    assert peak < labels + 4 * 2**20
+    tables = 16 * WIDE_MODELS * WIDE_SAMPLES  # float64 margins, int64 predictions
+    assert tables > labels + 4 * 2**20
 
 
 class TestHistogram:

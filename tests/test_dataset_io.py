@@ -7,7 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from flexens import dataset_io
+from flexens import cascade_engine, dataset_io
 from flexens.calibration import save_schedule
 from flexens.cascade_engine import ThresholdSchedule, full_ensemble_predictions, stage_tables
 from flexens.cli import main
@@ -35,6 +35,7 @@ from flexens.errors import (
 )
 from flexens.metrics_report import (
     ensemble_size_sweep,
+    flexible_sweep,
     margin_histogram,
     write_histogram_csv,
     write_sweep_csv,
@@ -573,6 +574,11 @@ class TestStreamedChecks:
         assert _raised(lambda: open_dataset(manifest).check()) == expected
         assert _raised(lambda: stage_tables(open_dataset(manifest))) == expected
         assert _raised(lambda: stage_tables(open_dataset(manifest), 1)) == expected
+        # the streamed reducers check every chunk too, and raise only once the pass ends
+        schedules = [("s", ThresholdSchedule.uniform(0.5, 3))]
+        assert _raised(lambda: flexible_sweep(open_dataset(manifest), schedules)) == expected
+        assert _raised(lambda: ensemble_size_sweep(open_dataset(manifest))) == expected
+        assert _raised(lambda: margin_histogram(open_dataset(manifest), 1, limit=1)) == expected
         capsys.readouterr()
         assert main(["validate", "--data", str(tmp_path)]) == 1
         assert capsys.readouterr().err == f"error: {expected[1]}\n"
@@ -586,6 +592,36 @@ class TestStreamedChecks:
         assert code == 1
         assert capsys.readouterr().err == (
             f"error: non-finite logit at model=2, sample={LAST_CHUNK + 99}, class=99\n"
+        )
+        assert not (tmp_path / "hist.csv").exists()
+
+    def test_histogram_limit_computes_its_samples_and_checks_every_payload(
+        self, tmp_path, capsys, monkeypatch, dataset_factory
+    ):
+        manifest = _streamed_dir(tmp_path, dataset_factory)
+        kernel = cascade_engine._prefix_stage_stats  # the row kernel serves C = 100
+        computed = []
+
+        def counting_kernel(prefix):
+            computed.append(prefix.shape[1])
+            return kernel(prefix)
+
+        monkeypatch.setattr(cascade_engine, "_prefix_stage_stats", counting_kernel)
+        for limit, expected in [(10, [10]), (STREAM_STEP + 1, [STREAM_STEP, 1])]:
+            computed.clear()
+            margin_histogram(open_dataset(manifest), 2, limit=limit)
+            assert computed == expected
+
+        # a NaN past the limit, in the last chunk, still fails the command
+        with open(tmp_path / "logits_000.ensl", "r+b") as payload:
+            payload.seek(16 + 4 * (LAST_CHUNK + 3) * STREAM_CLASSES)
+            payload.write(struct.pack("<f", float("nan")))
+        capsys.readouterr()
+        code = main(["histogram", "--data", str(tmp_path), "--ensemble-size", "1",
+                     "--limit", "10", "--out", str(tmp_path / "hist.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: non-finite logit at model=0, sample={LAST_CHUNK + 3}, class=0\n"
         )
         assert not (tmp_path / "hist.csv").exists()
 

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -6,13 +7,28 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flexens.calibration import evaluate_objective
-from flexens.cascade_engine import StageTables, ThresholdSchedule, run_dataset, stage_tables
-from flexens.dataset_io import EnsembleDataset
+from flexens.calibration import evaluate_objective, save_schedule
+from flexens.cascade_engine import (
+    _TABLES_CACHE,
+    ThresholdSchedule,
+    run_dataset,
+    run_sample,
+    stage_tables,
+)
+from flexens.cli import main
+from flexens.dataset_io import (
+    _CHUNK_VALUES,
+    MANIFEST_NAME,
+    EnsembleDataset,
+    open_dataset,
+    save_dataset,
+)
+from flexens.errors import ValidationError
 from flexens.metrics_report import (
     HISTOGRAM_CSV_HEADER,
     SWEEP_CSV_HEADER,
     SweepRow,
+    _row,
     ensemble_size_sweep,
     flexible_sweep,
     format_real,
@@ -106,21 +122,12 @@ def exit_count_cases(draw):
     return counts, draw(st.lists(cost, min_size=n, max_size=n))
 
 
-def shape_only_tables(cum_costs, num_samples: int) -> StageTables:
-    """Stage tables for score_counts, which reads only the shape of the (N, M)
-    arrays, so they are broadcast views that hold no memory."""
-    n = len(cum_costs)
-    margins = np.broadcast_to(np.zeros(1), (n, num_samples))
-    predictions = np.broadcast_to(np.zeros(1, np.int64), (n, num_samples))
-    return StageTables(margins, predictions, np.zeros(n, np.int64), np.array(cum_costs))
-
-
 class TestScoreCounts:
     @given(exit_count_cases())
     def test_cost_total_is_a_chain_of_fused_multiply_adds(self, case):
         counts, costs = case
         m = max(1, sum(counts))
-        rep = score_counts(shape_only_tables(costs, m), np.array(counts, dtype=np.int64), 0)
+        rep = score_counts(m, costs, 0, np.array(counts, dtype=np.int64), 0)
 
         total = 0.0  # each step is the exact count * cost + total, rounded once
         for count, cost in zip(counts, costs):
@@ -130,20 +137,53 @@ class TestScoreCounts:
         assert rep.avg_models == sum(k * c for k, c in enumerate(counts, start=1)) / m
 
     @pytest.mark.parametrize(
-        "counts, cum_costs",
-        [([3, 0], [1e308, 1.5e308]), ([0, 2], [1e308, np.inf]), ([1, 2], [1e308, np.inf])],
+        "num_samples, costs",
+        [(3, [1e308, 0.5e308]), (2, [1e308, np.inf]), (3, [1.0, np.inf])],
         ids=["product", "infinite_cost", "infinite_cost_after_finite_total"],
     )
-    def test_a_cost_total_beyond_the_float_range_is_inf(self, counts, cum_costs):
-        tables = shape_only_tables(cum_costs, sum(counts))
-        assert score_counts(tables, np.array(counts), 0).avg_cost_ms == np.inf
+    def test_a_cost_total_beyond_the_float_range_is_refused_before_scoring(
+        self, tmp_path, capsys, num_samples, costs
+    ):
+        # score_counts assumes num_samples times the total cost is finite; every
+        # route to it refuses other costs first
+        logits = np.zeros((2, num_samples, 2), np.float32)
+        labels = np.zeros(num_samples, np.int64)
+        with pytest.raises(ValidationError):
+            EnsembleDataset(logits, labels, costs)
+
+        # a directory saved with valid costs, then given these in its manifest
+        save_dataset(EnsembleDataset(logits, labels, [1.0, 1.0]), tmp_path / "data")
+        manifest = tmp_path / "data" / MANIFEST_NAME
+        doc = json.loads(manifest.read_text())
+        doc["costs_ms"] = costs
+        manifest.write_text(json.dumps(doc))  # writes inf as Infinity
+        schedule = tmp_path / "schedule.json"
+        save_schedule(schedule, ThresholdSchedule((0.5,)))
+        out = tmp_path / "out.csv"
+        for args in (
+            ["baseline", "--data", str(manifest.parent), "--out", str(out)],
+            ["run", "--data", str(manifest.parent), "--schedule", str(schedule),
+             "--out", str(out)],
+        ):
+            assert main(args) == 1
+            assert capsys.readouterr().err.startswith(("error: cost ", "error: costs_ms "))
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "costs", [[1e308, 1e308], [1e308, np.inf], [1.0, np.inf]],
+        ids=["running_total", "infinite_cost", "infinite_cost_after_finite_total"],
+    )
+    def test_run_sample_refuses_a_cost_total_beyond_the_float_range(self, costs):
+        with pytest.raises(ValidationError):
+            run_sample(np.zeros((2, 3)), ThresholdSchedule((0.5,)), costs)
 
     def test_real_fields_are_python_floats_on_every_route(self, dataset_factory):
         ds = dataset_factory(np.random.default_rng(8), num_models=3, num_samples=40)
         schedule = ThresholdSchedule((0.3, 0.6))
         results = [
             report(ds, run_dataset(ds, schedule)),
-            score_counts(stage_tables(ds), np.array([10, 10, 20]), np.int64(7)),
+            score_counts(40, stage_tables(ds).cum_costs_ms, np.int64(9), np.array([10, 10, 20]),
+                         np.int64(7)),
             *ensemble_size_sweep(ds),
             *flexible_sweep(ds, [("s", schedule)]),
             *(evaluate_objective(ds, schedule, a) for a in (0.5, 1, np.float64(0.25))),
@@ -241,6 +281,60 @@ class TestSweeps:
         full = ensemble_size_sweep(seed42_dataset)[-1]
         assert flex.avg_cost_ms < full.avg_cost_ms
         assert flex.latency_ratio < 1.0
+
+
+class TestStreamedRoutes:
+    """flexible_sweep, ensemble_size_sweep and margin_histogram reduce the stage
+    tables chunk by chunk; they give the tabled route's results field for field."""
+
+    @pytest.mark.parametrize("num_classes", [2, 10, 32, 33, 100])
+    def test_streamed_scores_equal_the_tabled_ones(self, tmp_path, num_classes):
+        rng = np.random.default_rng(num_classes)
+        num_models = 4
+        step = _CHUNK_VALUES // num_classes
+        num_samples = 2 * step + 37  # two whole chunks and a ragged one
+        logits = rng.normal(0.0, 2.0, size=(num_models, num_samples, num_classes))
+        labels = rng.integers(0, num_classes, size=num_samples)
+        costs = rng.uniform(0.5, 3.0, num_models)
+        tabled = EnsembleDataset(logits.astype(np.float32), labels, costs)
+        save_dataset(tabled, tmp_path)
+        tables = stage_tables(tabled)
+
+        schedules = [("zeros", ThresholdSchedule.uniform(0.0, num_models)),
+                     ("ones", ThresholdSchedule.uniform(1.0, num_models))]
+        for i in range(10):
+            thresholds = rng.choice([0.0, 1.0, *rng.uniform(0, 1, 4)], size=num_models - 1)
+            schedules.append((f"random_{i}", ThresholdSchedule(tuple(thresholds))))
+        expected = [repr(_row(c, report(tabled, run_dataset(tabled, s)))) for c, s in schedules]
+        stop_after = [
+            (f"full_{k}", ThresholdSchedule((1.0,) * (k - 1) + (0.0,) * (num_models - k)))
+            for k in range(1, num_models + 1)
+        ]
+        expected_sweep = [repr(_row(c, report(tabled, run_dataset(tabled, s))))
+                          for c, s in stop_after]
+
+        streamed = [
+            EnsembleDataset(tabled.logits.copy(), labels, costs),
+            open_dataset(tmp_path / MANIFEST_NAME),
+        ]
+        partial = EnsembleDataset(tabled.logits.copy(), labels, costs)
+        stage_tables(partial, 2)  # its cached tables serve up to two stages
+        for source in [*streamed, partial, tabled]:  # tabled serves its cached tables
+            assert [repr(row) for row in flexible_sweep(source, schedules)] == expected
+            assert [repr(row) for row in ensemble_size_sweep(source)] == expected_sweep
+            for k, limit in [(1, None), (num_models, None), (2, 1), (3, step), (2, step + 5),
+                             (num_models, num_samples + 1)]:
+                histogram = margin_histogram(source, k, bins=17, limit=limit)
+                take = num_samples if limit is None else limit
+                correct = tables.predictions[k - 1, :take] == labels[:take]
+                margins = tables.margins[k - 1, :take]
+                for counts, chosen in [(histogram.correct_counts, correct),
+                                       (histogram.wrong_counts, ~correct)]:
+                    tally = np.histogram(margins[chosen], bins=histogram.bin_edges)[0]
+                    assert counts.dtype == tally.dtype and counts.tolist() == tally.tolist()
+        for source in streamed:
+            assert _TABLES_CACHE.get(source) is None
+        assert _TABLES_CACHE[partial].num_models == 2
 
 
 class TestCsvOutput:
