@@ -13,13 +13,22 @@ Stages are searched greedily in cascade order: while stage k is searched,
 earlier stages keep their already chosen thresholds and later stages are
 pinned at 1.0, which never stops, so no early exit beyond stage k can blur
 the measurement. A sample still alive at stage k thus either exits there
-(margin >= tau) or runs all N models. Each stage is scored in one sweep: the
-alive samples are sorted by their stage-k margin, integer prefix sums count
-the wrong predictions at stage k and at stage N, and one searchsorted over
-the grid gives every candidate's exit count and wrong count, which
-metrics_report.score_counts turns into R and E by the same arithmetic as
-every report. With N models, M samples and G candidates the search costs
-O(N*M log M + N*G) time and O(M) memory.
+(margin >= tau) or runs all N models.
+
+The search needs no margin itself, only where it falls among the grid's stop
+levels. One pass over cascade_engine._stage_chunks stores, per sample, its
+bin at each of stages 1..N-1 (the number of stop levels at or below its
+margin, one byte up to 255 candidates) and whether each of the N stage
+predictions is wrong: 2N-1 bytes, not the 16 per stage of the stage tables.
+A sample stays at candidate i iff its bin is at most i, so one bincount of
+bin*4 + wrong_k*2 + wrong_N over the alive samples, and its cumulative sums,
+give every candidate's exit count and wrong count, the same integers a
+sorted sweep over the margins gives; metrics_report.score_counts turns them
+into R and E by the same arithmetic as every report. Bins come from
+floor(margin * G) and two comparisons with the stop levels, not from a
+binary search. With N models, M samples and G candidates the search costs
+O(N*M + N*G) time (O(N*M log G) were the bins searchsorted) and (2N-1)*M
+bytes beside one chunk of working memory.
 
 Ties are broken toward the lower threshold, which prefers latency when the
 objective is flat. The search is a pure function of (dataset, alpha, step).
@@ -33,8 +42,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .cascade_engine import ThresholdSchedule, _stop_levels, run_dataset, stage_tables
-from .dataset_io import DatasetFiles, EnsembleDataset, _is_json_number, write_atomic
+from .cascade_engine import ThresholdSchedule, _stage_chunks, _stop_levels, run_dataset
+from .dataset_io import (
+    DatasetFiles,
+    EnsembleDataset,
+    _cumulative_costs,
+    _is_json_number,
+    write_atomic,
+)
 from .errors import MalformedScheduleError
 from .metrics_report import EvaluationReport, report, score_counts
 
@@ -88,11 +103,27 @@ def evaluate_objective(
     return _objective(float(alpha), report(dataset, run_dataset(dataset, schedule)))
 
 
-def _prefix_counts(flags: np.ndarray) -> np.ndarray:
-    """counts[q] is the number of True values among flags[:q]."""
-    counts = np.zeros(flags.size + 1, dtype=np.int64)
-    np.cumsum(flags, out=counts[1:])
-    return counts
+# the search tallies the alive samples' bins this many samples at a time, so
+# its temporaries stay O(chunk) as M grows
+_SEARCH_WINDOW = 65536
+
+
+def _grid_bins(margins: np.ndarray, stop_levels: np.ndarray, out: np.ndarray) -> None:
+    """out[...] = np.searchsorted(stop_levels, margins, side="right"), for the
+    stop levels of a GridSpec and margins in [0, 1].
+
+    The levels are i/G (G intervals), except the last, inf. floor(m*G),
+    clipped to [0, G-1], is within rounding of the bin, so every level below
+    it is at most m and every level two or more above it exceeds m; the two
+    levels it indexes are compared directly.
+    """
+    intervals = stop_levels.size - 1
+    lower = np.multiply(margins, intervals)
+    np.floor(lower, out=lower)
+    np.clip(lower, 0, intervals - 1, out=lower)
+    lower = lower.astype(np.intp)
+    np.add(lower, stop_levels.take(lower) <= margins, out=out, casting="unsafe")
+    out += stop_levels[1:].take(lower) <= margins
 
 
 def calibrate(
@@ -100,52 +131,65 @@ def calibrate(
     alpha: float = DEFAULT_ALPHA,
     grid: GridSpec = GridSpec(),
 ) -> ThresholdSchedule:
-    """Choose stop thresholds by greedy per-stage grid search, one sorted-margin
-    sweep per stage (see module docs)."""
+    """Choose stop thresholds by greedy per-stage grid search over the samples'
+    grid bins, one tally per stage (see module docs)."""
     _check_alpha(alpha)
-    num_models = dataset.num_models
+    num_models, num_samples = dataset.num_models, dataset.num_samples
     if num_models < 2:
         raise ValueError("calibration needs at least 2 models")
 
-    tables = stage_tables(dataset)
-    labels = dataset.labels
     candidates = grid.values()
     stop_levels = _stop_levels(candidates)
-    full_wrong = tables.predictions[-1] != labels
-    cum_costs, full_wrong_count = tables.cum_costs_ms.tolist(), tables.wrong_counts[-1]
+    bins = np.empty((num_models - 1, num_samples), dtype=np.min_scalar_type(len(candidates)))
+    wrong = np.empty((num_models, num_samples), dtype=bool)
+    for samples, margins, predictions in _stage_chunks(dataset, num_models):
+        for stage in range(num_models - 1):  # one stage at a time keeps the temporaries small
+            _grid_bins(margins[stage], stop_levels, bins[stage, samples])
+        np.not_equal(predictions, dataset.labels[samples], out=wrong[:, samples])
+        # freed before the next chunk's kernel runs, which would otherwise raise the peak
+        del margins, predictions
+    cum_costs = _cumulative_costs(dataset.costs_ms, num_samples)
+    full_wrong_count = np.count_nonzero(wrong[-1])
 
-    alive = np.arange(dataset.num_samples)  # samples no chosen threshold has stopped
+    alive = np.ones(num_samples, dtype=bool)  # samples no chosen threshold has stopped
     done_counts = np.zeros(num_models, dtype=np.int64)  # exits at the chosen stages
     done_wrong = 0
     chosen: list[float] = []
     for stage in range(num_models - 1):
-        margins = tables.margins[stage, alive]
-        # searchsorted never splits a run of equal margins, so their order is irrelevant
-        order = np.argsort(margins)
-        ranked = alive[order]
-        # wrong predictions among the q lowest alive margins, exiting here or at N
-        exit_wrong = _prefix_counts(tables.predictions[stage, ranked] != labels[ranked])
-        full_wrong_below = _prefix_counts(full_wrong[ranked])
-        # samples below tau run all N models, the rest stop here
-        stays = np.searchsorted(margins[order], stop_levels, side="left")
+        tally = np.zeros(4 * len(candidates), dtype=np.int64)
+        for start in range(0, num_samples, _SEARCH_WINDOW):
+            window = slice(start, start + _SEARCH_WINDOW)
+            keep = alive[window]
+            key = bins[stage, window][keep].astype(np.intp)  # bin*4 + wrong_k*2 + wrong_N
+            key <<= 1
+            key += wrong[stage, window][keep]
+            key <<= 1
+            key += wrong[-1, window][keep]
+            tally += np.bincount(key, minlength=tally.size)
+        tally = tally.reshape(len(candidates), 2, 2)  # (bin, wrong at stage k, wrong at N)
+        # samples with bin <= i run all N models under candidate i, the rest stop here
+        stays = np.cumsum(tally.sum(axis=(1, 2))).tolist()
+        alive_count = stays[-1]  # no bin exceeds the last candidate
+        stay_exit_wrong = np.cumsum(tally[:, 1].sum(axis=1)).tolist()
+        stay_full_wrong = np.cumsum(tally[:, :, 1].sum(axis=1)).tolist()
+        exit_wrong_total = stay_exit_wrong[-1]
 
         best_value, best = np.inf, 0
-        for i, stay in enumerate(stays.tolist()):
+        for i, stay in enumerate(stays):
             counts = done_counts.copy()
-            counts[stage] += alive.size - stay
+            counts[stage] += alive_count - stay
             counts[-1] += stay
-            wrong = done_wrong + int(exit_wrong[-1] - exit_wrong[stay] + full_wrong_below[stay])
-            rep = score_counts(dataset.num_samples, cum_costs, full_wrong_count, counts, wrong)
+            wrong_count = done_wrong + exit_wrong_total - stay_exit_wrong[i] + stay_full_wrong[i]
+            rep = score_counts(num_samples, cum_costs, full_wrong_count, counts, wrong_count)
             value = _objective(alpha, rep).value
             # strict < keeps the earliest (lowest) candidate on plateaus
             if value < best_value:
                 best_value, best = value, i
         chosen.append(candidates[best])
 
-        best_stay = int(stays[best])
-        done_counts[stage] += alive.size - best_stay
-        done_wrong += int(exit_wrong[-1] - exit_wrong[best_stay])
-        alive = alive[margins < stop_levels[best]]  # the best_stay samples below tau
+        done_counts[stage] += alive_count - stays[best]
+        done_wrong += exit_wrong_total - stay_exit_wrong[best]
+        alive &= bins[stage] <= best
     return ThresholdSchedule(tuple(chosen))
 
 

@@ -18,8 +18,9 @@ chunk of samples (about 64 Ki values per model) at a time from either and
 yields that chunk's margins and predictions, so it needs O(chunk) working
 memory however many samples there are. stage_tables stores what it yields
 as the (N, M) tables. metrics_report's sweeps and histogram instead reduce
-each chunk to counts as it comes, so the CLI's run, baseline and histogram
-hold neither the (N, M, C) tensor nor the (N, M) tables; a source whose
+each chunk to counts as it comes, and calibration.calibrate to grid bins and
+wrong flags, so the CLI's run, baseline, histogram and calibrate hold
+neither the (N, M, C) tensor nor the (N, M) tables; a source whose
 tables are already cached is served slices of them. Stage k depends only on
 models 1..k, so a build of the first k models gives the first k rows of the
 full one.

@@ -177,6 +177,8 @@ def margin_histogram(
         correct = predictions[-1] == dataset.labels[samples]
         correct_counts += np.histogram(margins[-1][correct], bins=edges)[0]
         wrong_counts += np.histogram(margins[-1][~correct], bins=edges)[0]
+        # freed before the next chunk's kernel runs, which would otherwise raise the peak
+        del margins, predictions
     return MarginHistogram(
         bin_edges=edges, correct_counts=correct_counts, wrong_counts=wrong_counts
     )
@@ -193,8 +195,10 @@ def ensemble_size_sweep(dataset: EnsembleDataset | DatasetFiles) -> list[SweepRo
     scored as the run in which every sample stops after k models."""
     num_models, num_samples = dataset.num_models, dataset.num_samples
     wrong = np.zeros(num_models, dtype=np.int64)
-    for samples, _, predictions in _stage_chunks(dataset, num_models):
+    for samples, margins, predictions in _stage_chunks(dataset, num_models):
         wrong += np.count_nonzero(predictions != dataset.labels[samples], axis=1)
+        # freed before the next chunk's kernel runs, which would otherwise raise the peak
+        del margins, predictions
     cum_costs = _cumulative_costs(dataset.costs_ms, num_samples)
     rows = []
     for k, wrong_k in enumerate(wrong.tolist(), start=1):
@@ -224,6 +228,8 @@ def flexible_sweep(
             used = _models_used(margins, schedule.thresholds)
             exit_counts[i] += np.bincount(used, minlength=num_models + 1)
             wrong[i] += np.count_nonzero(predictions[used - 1, columns] != labels)
+        # freed before the next chunk's kernel runs, which would otherwise raise the peak
+        del margins, predictions
     cum_costs = _cumulative_costs(dataset.costs_ms, num_samples)
     return [
         _row(config, score_counts(num_samples, cum_costs, full_wrong, counts[1:], wrong_i))

@@ -11,20 +11,31 @@ from flexens.calibration import (
     CalibrationObjective,
     GridSpec,
     ScheduleFile,
+    _grid_bins,
     calibrate,
     evaluate_objective,
     load_schedule,
     save_schedule,
 )
 from flexens.cascade_engine import (
+    _TABLES_CACHE,
+    StageTables,
     ThresholdSchedule,
+    _stop_levels,
     full_ensemble_predictions,
     run_dataset,
     stage_tables,
 )
-from flexens.dataset_io import EnsembleDataset
+from flexens.dataset_io import (
+    _CHUNK_VALUES,
+    MANIFEST_NAME,
+    EnsembleDataset,
+    _cumulative_costs,
+    open_dataset,
+    save_dataset,
+)
 from flexens.errors import MalformedScheduleError, ScheduleMismatchError
-from flexens.metrics_report import relative_error_increase
+from flexens.metrics_report import relative_error_increase, score_counts
 
 # regression constants pinned from the first verified run on the seed-42 dataset
 SEED42_HALF_TAU_OBJECTIVE = CalibrationObjective(
@@ -55,6 +66,63 @@ def reference_calibrate(dataset, alpha, grid):
                 best_value, best_tau = value, tau
         chosen.append(best_tau)
     return tuple(chosen)
+
+
+def sorted_sweep_calibrate(dataset, alpha, grid):
+    """The greedy search as one sorted-margin sweep per stage over the stage
+    tables: the alive samples sorted by their stage-k margin, prefix sums of
+    the wrong flags, and one searchsorted over the stop levels."""
+    tables = stage_tables(dataset)
+    labels, candidates = dataset.labels, grid.values()
+    stop_levels = _stop_levels(candidates)
+    full_wrong = tables.predictions[-1] != labels
+    cum_costs, full_wrong_count = tables.cum_costs_ms.tolist(), tables.wrong_counts[-1]
+
+    def prefix_counts(flags):
+        return np.concatenate([[0], np.cumsum(flags)])
+
+    alive = np.arange(dataset.num_samples)
+    done_counts = np.zeros(dataset.num_models, dtype=np.int64)
+    done_wrong = 0
+    chosen = []
+    for stage in range(dataset.num_models - 1):
+        margins = tables.margins[stage, alive]
+        order = np.argsort(margins)
+        ranked = alive[order]
+        exit_wrong = prefix_counts(tables.predictions[stage, ranked] != labels[ranked])
+        full_wrong_below = prefix_counts(full_wrong[ranked])
+        stays = np.searchsorted(margins[order], stop_levels, side="left")
+        best_value, best = np.inf, 0
+        for i, stay in enumerate(stays.tolist()):
+            counts = done_counts.copy()
+            counts[stage] += alive.size - stay
+            counts[-1] += stay
+            wrong = done_wrong + int(exit_wrong[-1] - exit_wrong[stay] + full_wrong_below[stay])
+            rep = score_counts(dataset.num_samples, cum_costs, full_wrong_count, counts, wrong)
+            value = alpha * rep.latency_ratio + (1 - alpha) * rep.error_increase
+            if value < best_value:
+                best_value, best = value, i
+        chosen.append(candidates[best])
+        best_stay = int(stays[best])
+        done_counts[stage] += alive.size - best_stay
+        done_wrong += int(exit_wrong[-1] - exit_wrong[best_stay])
+        alive = alive[margins < stop_levels[best]]
+    return tuple(chosen)
+
+
+def tabled_dataset(margins, predictions, labels, costs):
+    """A dataset whose cached stage tables hold the given margins and
+    predictions, so calibrate and run_dataset see exactly these values."""
+    margins = np.asarray(margins, dtype=np.float64)
+    predictions = np.asarray(predictions, dtype=np.int64)
+    num_models, num_samples = margins.shape
+    num_classes = max(2, int(predictions.max()) + 1, int(np.max(labels)) + 1)
+    logits = np.zeros((num_models, num_samples, num_classes), dtype=np.float32)
+    dataset = EnsembleDataset(logits, labels, costs)
+    wrong = np.count_nonzero(predictions != dataset.labels, axis=1).astype(np.int64)
+    cum_costs = np.array(_cumulative_costs(dataset.costs_ms, num_samples))
+    _TABLES_CACHE[dataset] = StageTables(margins, predictions, wrong, cum_costs)
+    return dataset
 
 
 @st.composite
@@ -255,6 +323,76 @@ class TestCalibrate:
         ds = dataset_factory(np.random.default_rng(16), num_models=1)
         with pytest.raises(ValueError, match="at least 2 models"):
             calibrate(ds)
+
+
+class TestBinnedSearch:
+    @pytest.mark.parametrize("step", [1.0, 0.5, 0.05, 0.01, 0.002, 0.001])
+    def test_bins_equal_searchsorted_on_and_beside_every_grid_value(self, step):
+        values = np.array(GridSpec(step).values())
+        margins = np.concatenate([values, np.nextafter(values, -1), np.nextafter(values, 2)])
+        margins = np.clip(margins, 0.0, 1.0)
+        stop_levels = _stop_levels(values)
+        bins = np.empty(margins.size, dtype=np.min_scalar_type(values.size))
+        _grid_bins(margins, stop_levels, bins)
+        assert bins.tolist() == np.searchsorted(stop_levels, margins, side="right").tolist()
+        assert bins.dtype == (np.uint16 if values.size > 255 else np.uint8)
+
+    @pytest.mark.parametrize("step", [0.05, 0.01, 0.001])
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_a_margin_on_a_grid_value_exits_there(self, step, offset):
+        # one sample whose stage-1 prediction is wrong and whose full-ensemble
+        # prediction is right: the accuracy-only search picks the lowest tau
+        # that keeps it running, the first grid value above its margin
+        values = GridSpec(step).values()
+        for index in (1, len(values) // 3, len(values) - 2):
+            value = values[index]
+            margin = value if offset == 0 else float(np.nextafter(value, 2 * offset))
+            ds = tabled_dataset([[margin], [0.0]], [[1], [0]], [0], [1.0, 1.0])
+            expected = values[index + (offset >= 0)]
+            assert calibrate(ds, alpha=0.0, grid=GridSpec(step)).thresholds == (expected,)
+
+    def test_a_saturated_margin_is_never_stopped_by_a_threshold_of_one(self):
+        # two samples with margins of exactly 1.0 are wrong after one model and
+        # right after two: only a stage-1 threshold of 1.0 keeps them running
+        margins = [[1.0, 1.0, 0.3], [1.0, 1.0, 0.6], [0.0, 0.0, 0.0]]
+        predictions = [[1, 1, 0], [0, 0, 0], [0, 0, 0]]
+        for step in (1.0, 0.01, 0.001):
+            ds = tabled_dataset(margins, predictions, [0, 0, 0], [1.0, 2.0, 4.0])
+            schedule = calibrate(ds, alpha=0.0, grid=GridSpec(step))
+            assert schedule.thresholds == (1.0, 0.0)
+            assert run_dataset(ds, schedule).models_used.tolist() == [2, 2, 2]
+            assert schedule.thresholds == reference_calibrate(ds, 0.0, GridSpec(step))
+
+    def test_fine_grid_matches_brute_force_reference(self, dataset_factory):
+        # 1001 candidates need two-byte bins
+        grid = GridSpec(step=0.001)
+        for seed in (21, 22):
+            ds = dataset_factory(np.random.default_rng(seed), num_models=3, num_samples=60)
+            for alpha in (0.0, 0.4, 1.0):
+                assert calibrate(ds, alpha, grid).thresholds == reference_calibrate(ds, alpha, grid)
+
+    @pytest.mark.parametrize("num_classes", [10, 33])
+    def test_matches_sorted_sweep_over_ragged_chunks(self, tmp_path, num_classes):
+        num_models = 4
+        num_samples = 2 * (_CHUNK_VALUES // num_classes) + 37  # a ragged last chunk
+        for seed in (1, 2, 3):
+            rng = np.random.default_rng([seed, num_classes])
+            labels = rng.integers(0, num_classes, size=num_samples)
+            logits = rng.normal(0.0, 1.0, size=(num_models, num_samples, num_classes))
+            # a true-class signal that fades with difficulty, as synthgen draws it
+            logits[:, np.arange(num_samples), labels] += 4.0 * (1.0 - rng.random(num_samples))
+            costs = rng.uniform(0.5, 3.0, num_models)
+            tabled = EnsembleDataset(logits.astype(np.float32), labels, costs)
+            directory = tmp_path / f"seed{seed}"
+            save_dataset(tabled, directory)
+            streamed = open_dataset(directory / MANIFEST_NAME)
+            for step in (0.01, 0.001):
+                grid = GridSpec(step)
+                for alpha in (0.0, 0.3, 0.5, 1.0):
+                    expected = sorted_sweep_calibrate(tabled, alpha, grid)
+                    assert calibrate(streamed, alpha, grid).thresholds == expected
+                    assert calibrate(tabled, alpha, grid).thresholds == expected
+            assert _TABLES_CACHE.get(streamed) is None
 
 
 class TestScheduleFile:

@@ -320,8 +320,8 @@ def wide_data(tmp_path_factory):
 @pytest.mark.parametrize(
     "command",
     [["run", "--schedule", "{root}/schedule.json"], ["baseline"],
-     ["histogram", "--ensemble-size", "3"]],
-    ids=["run", "baseline", "histogram"],
+     ["histogram", "--ensemble-size", "3"], ["calibrate"]],
+    ids=["run", "baseline", "histogram", "calibrate"],
 )
 def test_commands_hold_neither_the_tensor_nor_the_stage_tables(wide_data, command):
     args = [arg.format(root=wide_data) for arg in command]
@@ -332,10 +332,13 @@ def test_commands_hold_neither_the_tensor_nor_the_stage_tables(wide_data, comman
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    labels = 12 * WIDE_SAMPLES  # int64 labels and the u32 payload they are read from
-    assert peak < labels + 4 * 2**20
+    held = 12 * WIDE_SAMPLES  # int64 labels and the u32 payload they are read from
+    if command[0] == "calibrate":
+        # one-byte grid bins for stages 1..N-1, wrong flags for all N, the alive mask
+        held += (2 * WIDE_MODELS - 1) * WIDE_SAMPLES + WIDE_SAMPLES
+    assert peak < held + 4 * 2**20
     tables = 16 * WIDE_MODELS * WIDE_SAMPLES  # float64 margins, int64 predictions
-    assert tables > labels + 4 * 2**20
+    assert tables > held + 4 * 2**20
 
 
 class TestHistogram:
