@@ -121,12 +121,11 @@ def _cmd_gen(args) -> int:
         costs_ms=(args.cost_ms,) * args.models,
     )
     started = time.perf_counter()
-    dataset = synthgen.generate(config)
-    dataset_io.save_dataset(dataset, args.out)
+    synthgen.save_generated(config, args.out)
     _stderr_timing("gen", started)
     print(
-        f"wrote {args.out}: models={dataset.num_models} samples={dataset.num_samples} "
-        f"classes={dataset.num_classes}"
+        f"wrote {args.out}: models={config.num_models} samples={config.num_samples} "
+        f"classes={config.num_classes}"
     )
     return 0
 

@@ -18,6 +18,11 @@ re-costed without rewriting payloads. File paths in the manifest are
 relative to the manifest's directory and may not leave it (no absolute
 paths, no "..").
 
+save_dataset and synthgen.save_generated share one writer, _write_dataset.
+It removes the old manifest first, writes each logit payload from chunks
+and then the labels, each file atomically, and the manifest last, so a
+write that fails part way leaves a directory that does not open.
+
 A directory is read in one of two ways. load_dataset builds an
 EnsembleDataset, which holds the whole (N, M, C) tensor; it is the library's
 entry point. open_dataset returns a DatasetFiles handle, which the CLI
@@ -45,6 +50,7 @@ working memory of about one chunk.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import os
@@ -52,7 +58,7 @@ import struct
 from contextlib import ExitStack
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import BinaryIO, Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -100,11 +106,11 @@ def _checked(
     """
     first_bad = None
     for samples, block in chunks:
-        # min and max propagate NaN and reach any inf, so valid logits need no mask
-        if not (np.isfinite(block.min()) and np.isfinite(block.max())):
-            model, sample, column = np.unravel_index(np.argmin(np.isfinite(block)), block.shape)
+        at = _nonfinite_at(block)
+        if at is not None:
+            model, sample, column = at
             # a later chunk may hold a bad value of an earlier model
-            bad = (int(model), samples.start + int(sample), int(column))
+            bad = (model, samples.start + sample, column)
             first_bad = bad if first_bad is None else min(first_bad, bad)
         if first_bad is None:
             yield samples, block
@@ -117,6 +123,14 @@ def _checked(
         raise LabelOutOfRangeError(sample, int(labels[sample]), num_classes)
 
     _cumulative_costs(costs, labels.size)  # raises for the first bad cost
+
+
+def _nonfinite_at(block: np.ndarray) -> tuple[int, ...] | None:
+    """The index of the first non-finite value of `block`, or None if there is none."""
+    # min and max propagate NaN and reach any inf, so valid logits need no mask
+    if np.isfinite(block.min()) and np.isfinite(block.max()):
+        return None
+    return tuple(int(i) for i in np.unravel_index(np.argmin(np.isfinite(block)), block.shape))
 
 
 def _cumulative_costs(costs: np.ndarray, num_samples: int) -> list[float]:
@@ -231,13 +245,14 @@ class DatasetManifest:
     costs_ms: tuple[float, ...]
 
 
-def write_atomic(path, data: str | Sequence) -> None:
+def write_atomic(path, data: str | Iterable) -> None:
     """Write `data` to `path` via a sibling temporary file and os.replace.
 
     `data` is a str, written as its UTF-8 encoding with no newline
-    translation, or a sequence of byte-like buffers (such as a header and a
-    contiguous array), written one after another without being joined. A
-    failure or crash mid-write leaves any existing file at `path` as it was.
+    translation, or an iterable of byte-like buffers (such as a header and
+    the chunks of a contiguous array), written one after another without
+    being joined. A failure or crash mid-write leaves any existing file at
+    `path` as it was.
     """
     if isinstance(data, str):
         data = [data.encode("utf-8")]
@@ -256,27 +271,47 @@ def save_dataset(dataset: EnsembleDataset, directory) -> DatasetManifest:
     """Write manifest plus binary payloads into `directory` (created if absent).
 
     Two saves of the same dataset produce byte-identical files, and
-    load_dataset(save_dataset(d)) reproduces d bit-for-bit. Each file is
-    written atomically and the manifest last.
+    load_dataset(save_dataset(d)) reproduces d bit-for-bit. See _write_dataset.
+    """
+    models = ([np.ascontiguousarray(logits, "<f4")] for logits in dataset.logits)
+    return _write_dataset(
+        directory, dataset.num_samples, dataset.num_classes, models, dataset.labels,
+        dataset.costs_ms,
+    )
+
+
+def _write_dataset(
+    directory, num_samples: int, num_classes: int, models: Iterable[Iterable],
+    labels: np.ndarray, costs_ms: np.ndarray,
+) -> DatasetManifest:
+    """Write a dataset directory: one logit payload per item of `models`, an
+    iterable of '<f4' chunks that together hold the model's (num_samples,
+    num_classes) logits in row-major order, then the labels, then the manifest.
+
+    Each file is written atomically. The old manifest is removed before the
+    first payload, so a write that fails part way leaves a directory that
+    open_dataset refuses, never a mix of two datasets that loads.
     """
     root = Path(directory)
     root.mkdir(parents=True, exist_ok=True)
+    (root / MANIFEST_NAME).unlink(missing_ok=True)
 
-    logit_files = [f"logits_{i:03d}.ensl" for i in range(dataset.num_models)]
-    for i, name in enumerate(logit_files):
-        logits = np.ascontiguousarray(dataset.logits[i], "<f4")
-        write_atomic(root / name, _payload(LOGIT_MAGIC, logits))
+    header = struct.pack(_header_format(2), LOGIT_MAGIC, FORMAT_VERSION, num_samples, num_classes)
+    logit_files = []
+    for i, chunks in enumerate(models):
+        logit_files.append(f"logits_{i:03d}.ensl")
+        write_atomic(root / logit_files[-1], itertools.chain([header], chunks))
     label_file = "labels.ensy"
-    write_atomic(root / label_file, _payload(LABEL_MAGIC, dataset.labels.astype("<u4")))
+    write_atomic(root / label_file, _payload(LABEL_MAGIC, labels.astype("<u4")))
 
     manifest = DatasetManifest(
         version=FORMAT_VERSION,
-        num_models=dataset.num_models,
-        num_samples=dataset.num_samples,
-        num_classes=dataset.num_classes,
+        num_models=len(logit_files),
+        num_samples=num_samples,
+        num_classes=num_classes,
         logit_files=tuple(logit_files),
         label_file=label_file,
-        costs_ms=tuple(float(c) for c in dataset.costs_ms),
+        costs_ms=tuple(float(c) for c in costs_ms),
     )
     write_atomic(root / MANIFEST_NAME, json.dumps(asdict(manifest), indent=2) + "\n")
     return manifest

@@ -23,21 +23,49 @@ from its config alone:
   depend on sigma.
 
 That definition is the one the scalar Xoshiro256PlusPlus class steps
-through word by word; generate computes the same words and the same floats
-faster. It draws the stream in parallel numpy lanes, each started by
-jumping the state ahead, and calls math.log1p, math.cos and math.sin once
-per value, since numpy's SIMD versions may round differently.
+through word by word; generate and save_generated compute the same words and
+the same floats faster, in one draw path that holds one window of the stream
+at a time:
+
+- windows: the stream is drawn in windows of at most _WINDOW_WORDS
+  consecutive words, each by L parallel numpy lanes (L a power of two near
+  sqrt(count), at least _MIN_LANES and at most _MAX_LANES) that step T times
+  each, lane j drawing words j*T .. j*T + T - 1 of its window;
+- jumps: the state transition A is linear over GF(2), so any jump A^k is a
+  256x256 bit matrix, held as its 32 byte tables of 256 states each (the
+  image of every value of one state byte). Applying it is 32 gathers and an
+  xor; multiplying or squaring two jumps is the same product applied to one's
+  256 columns. The first window's lanes start by doubling (lanes [h, 2h) are
+  lanes [0, h) jumped by A^(hT)), and every lane moves on by A^(LT) between
+  windows;
+- values: the first 2M words give the labels and each sample's signal; each
+  later window's normals, an even number, become float32 logits at once, in
+  chunks that never cross a model, as x *= sigma then x += base;
+- math.log1p, math.cos and math.sin are called once per value, since numpy's
+  SIMD versions may round differently.
+
+save_generated streams the chunks into the payload files, so gen holds the
+labels and signals, O(M), plus one window, never the (N, M, C) tensor.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
-from .dataset_io import EnsembleDataset
-from .errors import InvalidConfigError
+from .dataset_io import (
+    DatasetManifest,
+    EnsembleDataset,
+    _cumulative_costs,
+    _nonfinite_at,
+    _write_dataset,
+)
+from .errors import InvalidConfigError, NonFiniteLogitError
 
 DEFAULT_SIGNAL_SCALE = 4.0
 DEFAULT_NOISE_SIGMA = 1.0
@@ -45,6 +73,11 @@ DEFAULT_COST_MS = 1.667
 
 _MASK64 = (1 << 64) - 1
 _TWO_PI = 2.0 * math.pi
+
+# a window holds at most this many words, drawn by _MIN_LANES to _MAX_LANES lanes;
+# a power of two, so every window, like every Box-Muller pair, starts on an even word
+_WINDOW_WORDS = 65536
+_MIN_LANES, _MAX_LANES = 64, 4096
 
 
 class Xoshiro256PlusPlus:
@@ -97,30 +130,98 @@ def _step(state: np.ndarray) -> np.ndarray:
     return result
 
 
-def _lane_words(seed: int, count: int, lanes: int) -> np.ndarray:
-    """The first `count` Xoshiro256PlusPlus(seed).next_uint64() words, drawn in lanes.
+def _tables(columns: np.ndarray) -> np.ndarray:
+    """The byte tables of a GF(2) map of states, given the (256, 4) images of the unit
+    states: tables[b, v] is the image of the state whose byte b is v, all others 0."""
+    tables = np.zeros((32, 256, 4), dtype=np.uint64)
+    bits = columns.reshape(32, 8, 4)  # the images of the 8 bits of each byte
+    for bit in range(8):
+        tables[:, 1 << bit : 2 << bit] = tables[:, : 1 << bit] ^ bits[:, bit, np.newaxis]
+    return tables
 
-    Lane j draws words j*T .. j*T + T - 1, T = ceil(count / lanes). The state
-    transition A is linear over GF(2), so lane j starts at A^T applied j times
-    to the seeded state, and column i of A^T is unit state i stepped T times.
-    """
-    steps = -(-count // lanes)
-    rng = Xoshiro256PlusPlus(seed)
-    # row i holds the unit state of bit i: word i // 64, bit i % 64
+
+def _apply(tables: np.ndarray, states: np.ndarray) -> np.ndarray:
+    """The map of `tables` applied to each row of a (rows, 4) uint64 array of states."""
+    data = np.ascontiguousarray(states, dtype="<u8").view(np.uint8).T.astype(np.intp)
+    out = np.take(tables[0], data[0], axis=0)
+    for byte in range(1, 32):
+        out ^= np.take(tables[byte], data[byte], axis=0)
+    return out
+
+
+def _jump(steps: int) -> np.ndarray:
+    """The (256, 4) images of the unit states under `steps` steps of the generator,
+    as a product of the squarings of one step over the set bits of `steps`."""
+    # row i is the unit state of bit i: word i // 64, bit i % 64
     unit = np.packbits(np.eye(256, dtype=bool), axis=1, bitorder="little").view("<u8")
-    jump = np.ascontiguousarray(unit.T, dtype=np.uint64)
-    for _ in range(steps):
-        _step(jump)
-    states = np.empty((4, lanes), dtype=np.uint64)
+    power = np.ascontiguousarray(unit.T, dtype=np.uint64)
+    _step(power)
+    power = np.ascontiguousarray(power.T)  # one step: A
+    jump = None
+    while True:
+        if steps & 1:
+            jump = power if jump is None else _apply(_tables(power), jump)
+        steps >>= 1
+        if not steps:
+            return jump
+        power = _apply(_tables(power), power)
+
+
+def _window_shape(count: int) -> tuple[int, int]:
+    """(lanes, steps) of the windows that draw `count` words: a power of two near
+    sqrt(count) lanes, each stepped `steps` times per window of at most
+    _WINDOW_WORDS words."""
+    lanes = min(max(1 << (count.bit_length() // 2), _MIN_LANES), _MAX_LANES, _WINDOW_WORDS)
+    return lanes, max(1, min(-(-count // lanes), _WINDOW_WORDS // lanes))
+
+
+def _lane_starts(seed: int, lanes: int, steps: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (lanes, 4) states of the first window's lanes, lane j the seeded state
+    jumped by A^(j*steps), and the byte tables of A^(lanes*steps)."""
+    starts = np.empty((lanes, 4), dtype=np.uint64)
+    rng = Xoshiro256PlusPlus(seed)
     # an explicit dtype, so no numpy version infers another for words of 2**63 and above
-    states[:, 0] = np.array([rng._s0, rng._s1, rng._s2, rng._s3], dtype=np.uint64)
-    for j in range(1, lanes):
-        bits = np.unpackbits(states[:, j - 1].astype("<u8").view(np.uint8), bitorder="little")
-        states[:, j] = np.bitwise_xor.reduce(jump[:, bits.astype(bool)], axis=1)
-    words = np.empty((lanes, steps), dtype=np.uint64)
+    starts[0] = np.array([rng._s0, rng._s1, rng._s2, rng._s3], dtype=np.uint64)
+    jump = _jump(steps)
+    half = 1
+    while half < lanes:  # lanes [half, 2 * half) are lanes [0, half) jumped by A^(half*steps)
+        tables = _tables(jump)
+        starts[half : 2 * half] = _apply(tables, starts[:half])
+        jump = _apply(tables, jump)
+        half *= 2
+    return starts, _tables(jump)
+
+
+def _window(starts: np.ndarray, steps: int) -> np.ndarray:
+    """The words of one window, drawn by stepping each lane of `starts` `steps` times."""
+    states = np.ascontiguousarray(starts.T)
+    words = np.empty((len(starts), steps), dtype=np.uint64)
     for t in range(steps):
         words[:, t] = _step(states)
-    return words.reshape(-1)[:count]
+    return words.reshape(-1)
+
+
+def _windows(seed: int, count: int) -> Iterator[np.ndarray]:
+    """The first `count` Xoshiro256PlusPlus(seed).next_uint64() words, in windows.
+
+    A window of W = lanes * steps consecutive words is drawn by `lanes` lanes,
+    lane j drawing its words j*T .. j*T + T - 1, T = steps. The state transition
+    A is linear over GF(2), so lanes [h, 2h) start at lanes [0, h) jumped by A^(hT),
+    and every lane moves on to the next window by A^W.
+    """
+    lanes, steps = _window_shape(count)
+    starts, advance = _lane_starts(seed, lanes, steps)
+    window = lanes * steps
+    for first in range(0, count, window):
+        yield _window(starts, steps)[: count - first]
+        if first + window < count:
+            starts = _apply(advance, starts)
+
+
+def _uniforms(words: np.ndarray) -> np.ndarray:
+    """The uniform doubles of a window of words, whose words it overwrites."""
+    words >>= np.uint64(11)
+    return words * 2.0**-53
 
 
 def _each(func, values: np.ndarray) -> np.ndarray:
@@ -169,32 +270,93 @@ class SynthConfig:
         return (DEFAULT_COST_MS,) * self.num_models
 
 
+def _draw(config: SynthConfig) -> tuple[np.ndarray, Iterator[tuple[int, int, np.ndarray]]]:
+    """(labels, chunks) of the config's stream (see module docs).
+
+    The labels and each sample's signal come from the first 2M words, drawn
+    before this returns. `chunks` then draws the rest window by window and yields
+    (model, start, values): float32 logits of one model at flat (sample, class)
+    offsets start, start + 1, ..., in (model, sample, class) order, each checked
+    finite as EnsembleDataset checks them.
+    """
+    m, c = config.num_samples, config.num_classes
+    values = config.num_models * m * c
+    uniforms = map(_uniforms, _windows(config.seed, 2 * m + values + values % 2))
+    labels = np.empty(m, dtype=np.int64)
+    signal = np.empty(m, dtype=np.float64)
+    drawn = 0
+    while drawn < 2 * m:
+        u = next(uniforms)
+        head = min(u.size, 2 * m - drawn)
+        split = min(max(m - drawn, 0), head)  # u[:split] holds labels, u[split:head] difficulties
+        if split:
+            # minimum() guards the theoretical case where u * c rounds up to c
+            labels[drawn : drawn + split] = np.minimum((u[:split] * c).astype(np.int64), c - 1)
+        if head > split:
+            signal[drawn + split - m : drawn + head - m] = config.signal_scale * (1.0 - u[split:head])
+        drawn += head
+    return labels, _logit_chunks(config, labels, signal, itertools.chain([u[head:]], uniforms))
+
+
+def _logit_chunks(config, labels, signal, uniforms) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The chunks of _draw, from the uniforms of the normals in windows of even size."""
+    c, sigma = config.num_classes, config.noise_sigma
+    per_model = config.num_samples * c
+    done = 0  # the normals yielded so far, over all models
+    for normals in uniforms:  # each (u1, u2) pair is overwritten by its two normals
+        # 1 - u1 is in (0, 1], so the radius is finite
+        radius = np.sqrt(-2.0 * _each(math.log1p, -normals[0::2]))
+        angle = _TWO_PI * normals[1::2]
+        normals[0::2] = radius * _each(math.cos, angle)
+        normals[1::2] = radius * _each(math.sin, angle)
+        # a pair may straddle two models; an odd count's last sine is discarded
+        while normals.size and done < config.num_models * per_model:
+            model, start = divmod(done, per_model)
+            x = normals[: per_model - start]
+            normals = normals[x.size :]
+            done += x.size
+            x *= sigma
+            x += _base(labels, signal, c, start, x.size)  # the same sums as base + sigma * noise
+            with np.errstate(over="ignore"):  # an overflow is inf, which the check reports
+                chunk = x.astype("<f4")
+            bad = _nonfinite_at(chunk)
+            if bad is not None:
+                raise NonFiniteLogitError(model, *divmod(start + bad[0], c))
+            yield model, start, chunk
+
+
+def _base(labels, signal, num_classes, start, size) -> np.ndarray:
+    """Flat (sample, class) values [start, start + size) of the signal matrix: each
+    sample's signal at its label's column, 0.0 elsewhere."""
+    base = np.zeros(size, dtype=np.float64)
+    rows = slice(start // num_classes, (start + size - 1) // num_classes + 1)
+    at = np.arange(rows.start, rows.stop) * num_classes + labels[rows] - start
+    inside = (at >= 0) & (at < size)  # the first and last rows may be cut
+    base[at[inside]] = signal[rows][inside]
+    return base
+
+
 def generate(config: SynthConfig) -> EnsembleDataset:
     """Deterministically generate a dataset from the config (see module docs)."""
     n, m, c = config.num_models, config.num_samples, config.num_classes
-    pairs = (n * m * c + 1) // 2
-    count = 2 * m + 2 * pairs
-    lanes = math.isqrt(count)
-    uniforms = (_lane_words(config.seed, count, lanes) >> 11) * 2.0**-53
-
-    # minimum() guards the theoretical case where u * c rounds up to c
-    labels = np.minimum((uniforms[:m] * c).astype(np.int64), c - 1)
-    difficulties = uniforms[m : 2 * m]
-
-    base = np.zeros((m, c), dtype=np.float64)
-    base[np.arange(m), labels] = config.signal_scale * (1.0 - difficulties)
-
-    normals = uniforms[2 * m :]  # each (u1, u2) pair is overwritten by its two normals
-    # 1 - u1 is in (0, 1], so the radius is finite
-    radius = np.sqrt(-2.0 * _each(math.log1p, -normals[0::2]))
-    angle = _TWO_PI * normals[1::2]
-    normals[0::2] = radius * _each(math.cos, angle)
-    normals[1::2] = radius * _each(math.sin, angle)
-    logits = normals[: n * m * c].reshape(n, m, c)
-    logits *= config.noise_sigma
-    logits += base  # the same sums as base + sigma * noise: IEEE addition commutes
-
-    tensor = logits.astype(np.float32)
+    labels, chunks = _draw(config)
+    tensor = np.empty((n, m, c), dtype=np.float32)
+    flat = tensor.reshape(n, m * c)
+    for model, start, values in chunks:
+        flat[model, start : start + values.size] = values
     tensor.setflags(write=False)  # read-only and owning its memory: adopted without a copy
     costs = np.array(config.resolved_costs(), dtype=np.float64)
     return EnsembleDataset(logits=tensor, labels=labels, costs_ms=costs)
+
+
+def save_generated(config: SynthConfig, directory) -> DatasetManifest:
+    """Write the directory save_dataset(generate(config), directory) writes, byte
+    for byte, drawing the stream window by window instead of holding the tensor."""
+    costs = np.array(config.resolved_costs(), dtype=np.float64)
+    _cumulative_costs(costs, config.num_samples)  # refused before anything is written
+    labels, chunks = _draw(config)
+    models = (
+        (values for _, _, values in group)
+        for _, group in itertools.groupby(chunks, key=operator.itemgetter(0))
+    )
+    return _write_dataset(directory, config.num_samples, config.num_classes, models, labels, costs)

@@ -341,6 +341,21 @@ def test_commands_hold_neither_the_tensor_nor_the_stage_tables(wide_data, comman
     assert tables > held + 4 * 2**20
 
 
+def test_gen_holds_neither_the_tensor_nor_the_stream(tmp_path):
+    args = ["gen", "--models", str(WIDE_MODELS), "--samples", str(WIDE_SAMPLES),
+            "--classes", str(WIDE_CLASSES), "--seed", "3", "--out", str(tmp_path / "gen")]
+    tracemalloc.start()
+    try:
+        assert main(args) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = 20 * WIDE_SAMPLES  # int64 labels, float64 signals, the u32 label payload
+    assert peak < held + 4 * 2**20
+    tensor = 4 * WIDE_MODELS * WIDE_SAMPLES * WIDE_CLASSES
+    assert tensor > held + 4 * 2**20
+
+
 class TestHistogram:
     def test_writes_bins(self, tmp_path):
         data = gen_dataset(tmp_path, "data")

@@ -11,6 +11,7 @@ from flexens import cascade_engine, dataset_io
 from flexens.calibration import save_schedule
 from flexens.cascade_engine import ThresholdSchedule, full_ensemble_predictions, stage_tables
 from flexens.cli import main
+from flexens.synthgen import SynthConfig, generate, save_generated
 from flexens.dataset_io import (
     _CHUNK_VALUES,
     LABEL_MAGIC,
@@ -277,7 +278,8 @@ class TestBinaryRoundTrip:
 
 
 class TestAtomicWrites:
-    @pytest.mark.parametrize("writer", ["schedule", "sweep_csv", "histogram_csv", "manifest"])
+    # a dataset's manifest is removed before its payloads are written: see TestInterruptedSave
+    @pytest.mark.parametrize("writer", ["schedule", "sweep_csv", "histogram_csv"])
     def test_failed_replace_keeps_existing_file(
         self, tmp_path, monkeypatch, dataset_factory, writer
     ):
@@ -286,7 +288,6 @@ class TestAtomicWrites:
             "schedule": ("s.json", lambda p: save_schedule(p, ThresholdSchedule.uniform(0.5, 3))),
             "sweep_csv": ("r.csv", lambda p: write_sweep_csv(p, ensemble_size_sweep(ds))),
             "histogram_csv": ("h.csv", lambda p: write_histogram_csv(p, margin_histogram(ds, 1))),
-            "manifest": (MANIFEST_NAME, lambda p: save_dataset(ds, p.parent)),
         }[writer]
         path = tmp_path / name
         path.write_text("old contents\n")
@@ -301,6 +302,58 @@ class TestAtomicWrites:
         with pytest.raises(OSError, match="simulated"):
             write(path)
         assert path.read_text() == "old contents\n"
+        assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
+class TestInterruptedSave:
+    """A save over another dataset that fails part way leaves a directory that
+    does not open, never one that loads files of both datasets."""
+
+    CONFIG = dict(num_models=3, num_samples=40, num_classes=4)
+
+    @pytest.fixture(params=["save_dataset", "save_generated"])
+    def save(self, request):
+        if request.param == "save_dataset":
+            return lambda config, root: save_dataset(generate(config), root)
+        return save_generated
+
+    def test_failure_on_the_second_payload(self, tmp_path, monkeypatch, save):
+        save(SynthConfig(seed=1, **self.CONFIG), tmp_path)
+        old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        real_write = dataset_io.write_atomic
+        written = []
+
+        def failing_on_the_second_payload(path, data):
+            written.append(os.path.basename(path))
+            if len(written) == 2:
+                raise OSError("simulated failure")
+            real_write(path, data)
+
+        monkeypatch.setattr(dataset_io, "write_atomic", failing_on_the_second_payload)
+        with pytest.raises(OSError, match="simulated"):
+            save(SynthConfig(seed=2, **self.CONFIG), tmp_path)
+        assert written == ["logits_000.ensl", "logits_001.ensl"]
+        # model 0 is the new dataset's, models 1 and 2 and the labels the old one's
+        assert (tmp_path / "logits_000.ensl").read_bytes() != old["logits_000.ensl"]
+        for name in ["logits_001.ensl", "logits_002.ensl", "labels.ensy"]:
+            assert (tmp_path / name).read_bytes() == old[name]
+        with pytest.raises(FileNotFoundError):
+            open_dataset(tmp_path / MANIFEST_NAME)
+        assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+    def test_failed_manifest_replace(self, tmp_path, monkeypatch, save):
+        save(SynthConfig(seed=1, **self.CONFIG), tmp_path)
+        real_replace = os.replace
+
+        def replace_failing_on_the_manifest(src, dst):
+            if os.path.basename(dst) == MANIFEST_NAME:
+                raise OSError("simulated crash before rename")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_failing_on_the_manifest)
+        with pytest.raises(OSError, match="simulated"):
+            save(SynthConfig(seed=2, **self.CONFIG), tmp_path)
+        assert not (tmp_path / MANIFEST_NAME).exists()
         assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
 

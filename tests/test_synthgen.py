@@ -6,9 +6,17 @@ import pytest
 
 from flexens import synthgen
 from flexens.cascade_engine import stage_tables
+from flexens.cli import main
 from flexens.dataset_io import MANIFEST_NAME, EnsembleDataset, save_dataset
-from flexens.errors import InvalidConfigError
-from flexens.synthgen import DEFAULT_COST_MS, SynthConfig, Xoshiro256PlusPlus, generate
+from flexens.errors import InvalidConfigError, NonFiniteLogitError
+from flexens.synthgen import (
+    _MIN_LANES,
+    DEFAULT_COST_MS,
+    SynthConfig,
+    Xoshiro256PlusPlus,
+    generate,
+    save_generated,
+)
 
 # regression constants pinned from the first verified run of the generator
 SEED42_ACCURACY_K1 = 0.6104
@@ -120,32 +128,66 @@ class TestPinnedBytes:
 
 
 class TestLaneStream:
-    """_lane_words against Xoshiro256PlusPlus.next_uint64, one word at a time."""
+    """_windows against Xoshiro256PlusPlus.next_uint64, one word at a time."""
 
-    LANES = 7
+    LANES = _MIN_LANES
+    WINDOW = 4 * _MIN_LANES  # patched in: four steps of the fewest lanes
+    DEFAULT_WINDOW = synthgen._WINDOW_WORDS
 
     @pytest.mark.parametrize("seed", [0, 42, 2**64 - 1])
     @pytest.mark.parametrize(
-        "count", [1, LANES - 1, LANES, LANES + 1, 5 * LANES - 1, 5 * LANES + 1]
+        "count",
+        [1, LANES - 1, LANES, WINDOW - 1, WINDOW, WINDOW + 1, 3 * WINDOW + 5],
     )
-    def test_counts_around_lane_edges(self, seed, count):
-        words = synthgen._lane_words(seed, count, self.LANES)
+    def test_counts_around_lane_and_window_edges(self, monkeypatch, seed, count):
+        monkeypatch.setattr(synthgen, "_WINDOW_WORDS", self.WINDOW)
+        lanes, steps = synthgen._window_shape(count)
+        assert lanes == self.LANES and lanes * steps == min(self.WINDOW, -(-count // lanes) * lanes)
+        windows = list(synthgen._windows(seed, count))
+        assert [w.size for w in windows[:-1]] == [lanes * steps] * (len(windows) - 1)
+        words = np.concatenate(windows)
         assert words.dtype == np.uint64 and words.shape == (count,)
         assert words.tolist() == scalar_words(seed, count)
 
+    @pytest.mark.parametrize(
+        "count", [DEFAULT_WINDOW - 1, DEFAULT_WINDOW, DEFAULT_WINDOW + 1, 3 * DEFAULT_WINDOW + 5]
+    )
+    def test_counts_around_default_window_edges(self, count):
+        lanes, steps = synthgen._window_shape(count)
+        assert lanes * steps == self.DEFAULT_WINDOW
+        words = np.concatenate(list(synthgen._windows(2**64 - 1, count)))
+        assert words.tolist() == scalar_words(2**64 - 1, count)
+
     @pytest.mark.parametrize("seed", [0, 2**64 - 1])
     def test_lane_starts_many_jumps_apart(self, seed):
-        # lane j starts j jumps of 1000 steps from the seeded state
-        words = synthgen._lane_words(seed, 6000, 6)
+        # one window of 64 lanes, lane j started j jumps of 94 steps from the seeded state
+        assert synthgen._window_shape(6000) == (64, 94)
+        words = np.concatenate(list(synthgen._windows(seed, 6000)))
         assert words.tolist() == scalar_words(seed, 6000)
+
+    @pytest.mark.parametrize("steps", [1, 63, 64, 1000])
+    def test_table_jump_equals_scalar_steps(self, steps):
+        random = np.random.default_rng(steps).integers(
+            0, 2**64 - 1, size=(16, 4), dtype=np.uint64, endpoint=True
+        )
+        unit = np.packbits(np.eye(256, dtype=bool), axis=1, bitorder="little").view("<u8")
+        states = np.concatenate([random, unit.astype(np.uint64)])
+        jumped = synthgen._apply(synthgen._tables(synthgen._jump(steps)), states)
+        assert jumped.dtype == np.uint64
+        rng = Xoshiro256PlusPlus(0)
+        for state, got in zip(states.tolist(), jumped.tolist()):
+            rng._s0, rng._s1, rng._s2, rng._s3 = state
+            for _ in range(steps):
+                rng.next_uint64()
+            assert got == [rng._s0, rng._s1, rng._s2, rng._s3]
 
     @pytest.mark.parametrize(
         "n,m,c,seed",
         [
-            (1, 511, 2, 3),  # 2044 words: 45 lanes of 46, the last one cut short
-            (1, 512, 2, 3),  # 2048 words
-            (1, 513, 2, 3),  # 2052 words
-            (1, 1, 2, 0),  # 4 words, the smallest draw: 2 lanes of 2
+            (1, 511, 2, 3),  # 2044 words: 64 lanes of 32, the last one cut short
+            (1, 512, 2, 3),  # 2048 words: 64 lanes of 32
+            (1, 513, 2, 3),  # 2052 words: 64 lanes of 33, the last two cut short
+            (1, 1, 2, 0),  # 4 words, the smallest draw: 4 of 64 lanes of 1
             (3, 101, 7, 2**64 - 1),  # an odd normal count
             (2, 1200, 3, 0),
         ],
@@ -164,6 +206,70 @@ class TestLaneStream:
         )
         logits, _ = scalar_generate(2, 700, 3, 8, scale=2.5, sigma=sigma)
         assert generate(config).logits.tobytes() == logits.tobytes()
+
+
+def saved_files(directory) -> dict:
+    return {path.name: path.read_bytes() for path in sorted(directory.iterdir())}
+
+
+class TestStreamedGen:
+    """`flexens gen` writes exactly the directory of save_dataset(generate(config))."""
+
+    def gen(self, tmp_path, n, m, c, seed, *options) -> dict:
+        out = tmp_path / "gen"
+        assert main(["gen", "--models", str(n), "--samples", str(m), "--classes", str(c),
+                     "--seed", str(seed), "--out", str(out), *options]) == 0
+        return saved_files(out)
+
+    def saved(self, tmp_path, config) -> dict:
+        save_dataset(generate(config), tmp_path / "saved")
+        return saved_files(tmp_path / "saved")
+
+    @pytest.mark.parametrize("n,m,c,seed", list(PINNED_GENERATE))
+    def test_pinned_configs(self, tmp_path, n, m, c, seed):
+        expected = self.saved(tmp_path, SynthConfig(n, m, c, seed))
+        assert self.gen(tmp_path, n, m, c, seed) == expected
+
+    def test_zero_sigma(self, tmp_path):
+        expected = self.saved(tmp_path, SynthConfig(3, 1001, 7, 5, noise_sigma=0.0))
+        assert self.gen(tmp_path, 3, 1001, 7, 5, "--sigma", "0") == expected
+
+    @pytest.mark.parametrize("m,first_word", [(13, 64), (51, 254)])
+    def test_pair_straddling_two_models_at_a_window_edge(self, tmp_path, monkeypatch, m, first_word):
+        # N=3, C=3, M odd: normal M*C, model 1's first, is the sine of the pair at
+        # words 2M + M*C - 1 and 2M + M*C, which starts (M=13) or ends (M=51) a window
+        monkeypatch.setattr(synthgen, "_WINDOW_WORDS", 64)
+        n, c, seed = 3, 3, 9
+        assert 2 * m + m * c - 1 == first_word
+        assert synthgen._window_shape(2 * m + n * m * c + 1) == (64, 1)
+        config = SynthConfig(n, m, c, seed)
+        logits, labels = scalar_generate(n, m, c, seed)
+        generated = generate(config)
+        assert generated.logits.tobytes() == logits.tobytes()
+        np.testing.assert_array_equal(generated.labels, labels)
+        assert self.gen(tmp_path, n, m, c, seed) == self.saved(tmp_path, config)
+
+    def test_labels_ending_at_a_window_edge(self, tmp_path, monkeypatch):
+        # 2M = 64 words: the first window holds labels and difficulties only
+        monkeypatch.setattr(synthgen, "_WINDOW_WORDS", 64)
+        config = SynthConfig(2, 32, 3, 1)
+        logits, _ = scalar_generate(2, 32, 3, 1)
+        assert generate(config).logits.tobytes() == logits.tobytes()
+        assert self.gen(tmp_path, 2, 32, 3, 1) == self.saved(tmp_path, config)
+
+    def test_logits_beyond_float32_are_refused(self, tmp_path, capsys):
+        # the float32 cast overflows with no RuntimeWarning; the finite check reports it
+        with pytest.raises(NonFiniteLogitError, match="model=0, sample=0, class=0"):
+            generate(SynthConfig(2, 5, 3, 1, noise_sigma=1e39))
+        out = tmp_path / "gen"
+        assert main(["gen", "--models", "2", "--samples", "5", "--classes", "3", "--seed", "1",
+                     "--sigma", "1e39", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: non-finite logit at model=0, sample=0, class=0\n"
+        assert not (out / MANIFEST_NAME).exists()
+
+    def test_returns_the_manifest_of_save_dataset(self, tmp_path):
+        config = SynthConfig(2, 30, 3, 4)
+        assert save_generated(config, tmp_path / "a") == save_dataset(generate(config), tmp_path / "b")
 
 
 class TestZeroNoise:
