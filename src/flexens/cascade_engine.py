@@ -40,12 +40,16 @@ chunk out class-major, (N, C, n), for _class_major_stage_stats, whose
 every step is elementwise over all n samples at once; its class sum replays
 numpy's pairwise_sum, the order .sum(axis=-1) adds a row in, so no bit
 changes. The row kernel stays for wide C, where its reductions are cheap
-and the class-major kernel's C-long loops of numpy calls are not, and for
-run_sample, which has one sample per call. A class-major prototype used
-everywhere made the per_sample benchmark's wall_norm go from 134 to 179
-(+33%) and eval_c100's (C=100) 6-9% worse. Either way a sample's results
-do not depend on which other samples share its chunk, so chunking changes
-no output bit, and run_sample and run_dataset agree bit-for-bit.
+and the class-major kernel's C-long loops of numpy calls are not. Either way
+a sample's results do not depend on which other samples share its chunk, so
+chunking changes no output bit.
+
+run_sample, the per-request path, checks its whole input first, as datasets
+check theirs. It then takes the row kernel's steps on all N stages of its
+one sample in a few whole-array calls, up to the exp'd rows and their sums,
+and finds each stage's top two in a Python loop that stops at the exit
+stage, so only the stages the sample runs are reduced. It agrees with
+run_dataset bit for bit.
 
 run_dataset returns a columnar CascadeRun, whose run[i] builds sample i's
 CascadeTrace on demand; metrics_report.report takes only this result, not
@@ -152,18 +156,12 @@ class CascadeRun(Sequence):
             return [self[i] for i in range(len(self))[index]]
         sample = range(len(self))[index]
         used, tables = int(self.models_used[sample]), self.tables
-        return _trace(tables.margins, tables.predictions, tables.cum_costs_ms, sample, used)
-
-
-def _trace(margins, predictions, cum_costs, sample: int, used: int) -> CascadeTrace:
-    """The trace of column `sample` of (N, M) stage margins and predictions,
-    stopped after `used` models."""
-    return CascadeTrace(
-        models_used=used,
-        margins=margins[:used, sample].copy(),
-        prediction=int(predictions[used - 1, sample]),
-        cost_ms=float(cum_costs[used - 1]),
-    )
+        return CascadeTrace(
+            models_used=used,
+            margins=tables.margins[:used, sample].copy(),
+            prediction=int(tables.predictions[used - 1, sample]),
+            cost_ms=float(tables.cum_costs_ms[used - 1]),
+        )
 
 
 _TABLES_CACHE: "weakref.WeakKeyDictionary[EnsembleDataset | DatasetFiles, StageTables]" = (
@@ -178,7 +176,7 @@ def _prefix_stage_stats(prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     sum of the first k+1 models' logits; it is overwritten. Both results are
     (num_models, n). Every reduction runs along one row's class axis, so a
     sample's results do not depend on which other samples share the call. It
-    serves run_sample and wide class axes.
+    serves wide class axes.
 
     The definition divides each exp'd row by its sum and then takes the
     argmax and the masked max; this kernel divides only the two values it
@@ -381,10 +379,14 @@ def stage_tables(
     return tables
 
 
-def _stop_levels(thresholds) -> np.ndarray:
-    """The margins at which each threshold stops: itself, except that 1.0 never
+def _stop_level(threshold: float) -> float:
+    """The margin at which a threshold stops: itself, except that 1.0 never
     stops, not even a saturated margin that rounds to exactly 1.0."""
-    return np.array([np.inf if t == 1.0 else t for t in thresholds], dtype=np.float64)
+    return np.inf if threshold == 1.0 else threshold
+
+
+def _stop_levels(thresholds) -> np.ndarray:
+    return np.array([_stop_level(t) for t in thresholds], dtype=np.float64)
 
 
 def _models_used(margins: np.ndarray, thresholds) -> np.ndarray:
@@ -399,6 +401,23 @@ def full_ensemble_predictions(dataset: EnsembleDataset | DatasetFiles) -> np.nda
     return stage_tables(dataset).predictions[-1]
 
 
+# run_sample reduces rows of up to this many classes as Python lists, and wider
+# ones with numpy calls. Per call at N=7 the two broke even at 16-20 classes,
+# and lists took 5x as long at 1000 (2 vCPU Xeon, numpy 2.4.6).
+_LIST_MAX_CLASSES = 16
+
+
+def _top_two(row) -> tuple[int, float, float]:
+    """The first index of a row's max, the max, and the largest other value
+    counted with multiplicity, as argmax and the row kernel's masked max give.
+    row is a list or a float64 array."""
+    best = row.index(max(row)) if isinstance(row, list) else int(row.argmax())
+    top, row[best] = row[best], -np.inf
+    second = max(row) if isinstance(row, list) else row.max()
+    row[best] = top
+    return best, top, second
+
+
 def run_sample(logits_per_model, schedule: ThresholdSchedule, costs_ms) -> CascadeTrace:
     """Run the cascade on a single sample's (num_models, num_classes) logits.
 
@@ -406,7 +425,8 @@ def run_sample(logits_per_model, schedule: ThresholdSchedule, costs_ms) -> Casca
     the first logit in (model, class) order that is not finite or lies beyond
     the float32 range raises NonFiniteLogitError (as sample 0), then the first
     cost that is not finite and positive NonPositiveCostError, and costs whose
-    total is not finite a ValidationError.
+    total is not finite a ValidationError. The checks cover every model, also
+    those after the stage where the sample exits.
     """
     logits = np.asarray(logits_per_model, dtype=np.float64)
     if logits.ndim != 2:
@@ -428,9 +448,25 @@ def run_sample(logits_per_model, schedule: ThresholdSchedule, costs_ms) -> Casca
         raise NonFiniteLogitError(int(model), 0, int(column))
     cum_costs = _cumulative_costs(costs, 1)
 
-    margins, predictions = _prefix_stage_stats(np.cumsum(logits[:, np.newaxis, :], axis=0))
-    used = int(_models_used(margins, schedule.thresholds)[0])
-    return _trace(margins, predictions, cum_costs, 0, used)
+    # the row kernel's steps on every stage at once; subtracting the row max,
+    # not the value at the means' argmax, changes at most the sign of a zero,
+    # and exp(-0.0) == exp(0.0) == 1.0
+    rows = logits.cumsum(axis=0)
+    rows[1:] /= np.arange(2, num_models + 1, dtype=np.float64)[:, None]
+    rows -= rows.max(axis=1, keepdims=True)
+    np.exp(rows, out=rows)
+    totals, margins = rows.sum(axis=1).tolist(), []
+    stage_rows = rows.tolist() if num_classes <= _LIST_MAX_CLASSES else rows
+    for used, (row, total) in enumerate(zip(stage_rows, totals), 1):
+        best, top, second = _top_two(row)
+        margin = top / total - second / total
+        if not margin > 0:  # a near tie: divide the row in full, as _prefix_stage_stats does
+            best, top, second = _top_two(np.divide(row, total))
+            margin = top - second
+        margins.append(margin)
+        if used == num_models or margin >= _stop_level(schedule.thresholds[used - 1]):
+            break
+    return CascadeTrace(used, np.array(margins), best, cum_costs[used - 1])
 
 
 def run_dataset(

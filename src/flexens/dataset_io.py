@@ -21,7 +21,8 @@ paths, no "..").
 save_dataset and synthgen.save_generated share one writer, _write_dataset.
 It removes the old manifest first, writes each logit payload from chunks
 and then the labels, each file atomically, and the manifest last, so a
-write that fails part way leaves a directory that does not open.
+write that fails part way leaves a directory that does not open; it then
+removes the files and directories it created, and no others.
 
 A directory is read in one of two ways. load_dataset builds an
 EnsembleDataset, which holds the whole (N, M, C) tensor; it is the library's
@@ -55,7 +56,7 @@ import json
 import math
 import os
 import struct
-from contextlib import ExitStack
+from contextlib import ExitStack, suppress
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator, Sequence
@@ -290,30 +291,51 @@ def _write_dataset(
 
     Each file is written atomically. The old manifest is removed before the
     first payload, so a write that fails part way leaves a directory that
-    open_dataset refuses, never a mix of two datasets that loads.
+    open_dataset refuses, never a mix of two datasets that loads. Such a
+    write also removes the payloads it created where no file was before, and
+    the directories it made, so a failed write to a new directory leaves
+    nothing; files it did not write are left alone.
     """
     root = Path(directory)
-    root.mkdir(parents=True, exist_ok=True)
-    (root / MANIFEST_NAME).unlink(missing_ok=True)
+    made = list(itertools.takewhile(lambda d: not d.exists(), [root, *root.parents]))
+    created = []
 
-    header = struct.pack(_header_format(2), LOGIT_MAGIC, FORMAT_VERSION, num_samples, num_classes)
-    logit_files = []
-    for i, chunks in enumerate(models):
-        logit_files.append(f"logits_{i:03d}.ensl")
-        write_atomic(root / logit_files[-1], itertools.chain([header], chunks))
-    label_file = "labels.ensy"
-    write_atomic(root / label_file, _payload(LABEL_MAGIC, labels.astype("<u4")))
+    def write(name: str, data) -> None:
+        path = root / name
+        new = not path.exists()
+        write_atomic(path, data)
+        if new:
+            created.append(path)
 
-    manifest = DatasetManifest(
-        version=FORMAT_VERSION,
-        num_models=len(logit_files),
-        num_samples=num_samples,
-        num_classes=num_classes,
-        logit_files=tuple(logit_files),
-        label_file=label_file,
-        costs_ms=tuple(float(c) for c in costs_ms),
-    )
-    write_atomic(root / MANIFEST_NAME, json.dumps(asdict(manifest), indent=2) + "\n")
+    try:
+        root.mkdir(parents=True, exist_ok=True)
+        (root / MANIFEST_NAME).unlink(missing_ok=True)
+        header = struct.pack(
+            _header_format(2), LOGIT_MAGIC, FORMAT_VERSION, num_samples, num_classes
+        )
+        logit_files = []
+        for i, chunks in enumerate(models):
+            logit_files.append(f"logits_{i:03d}.ensl")
+            write(logit_files[-1], itertools.chain([header], chunks))
+        label_file = "labels.ensy"
+        write(label_file, _payload(LABEL_MAGIC, labels.astype("<u4")))
+        manifest = DatasetManifest(
+            version=FORMAT_VERSION,
+            num_models=len(logit_files),
+            num_samples=num_samples,
+            num_classes=num_classes,
+            logit_files=tuple(logit_files),
+            label_file=label_file,
+            costs_ms=tuple(float(c) for c in costs_ms),
+        )
+        write(MANIFEST_NAME, json.dumps(asdict(manifest), indent=2) + "\n")
+    except BaseException:
+        for path in created:
+            path.unlink(missing_ok=True)
+        for made_dir in made:  # deepest first; rmdir refuses one that is not empty
+            with suppress(OSError):
+                made_dir.rmdir()
+        raise
     return manifest
 
 

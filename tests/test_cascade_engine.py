@@ -31,6 +31,8 @@ from flexens.errors import (
     ValidationError,
 )
 
+FLOAT32_MAX = np.float64(np.finfo(np.float32).max)
+
 
 def check_trace_invariants(trace: CascadeTrace, schedule: ThresholdSchedule, dataset, sample):
     """Continuation held at every non-final stage; stop fired if not exhausted."""
@@ -124,7 +126,7 @@ class TestRunSample:
 
     @pytest.mark.parametrize(
         "value",
-        [1e308, -1e308, float(np.nextafter(np.float64(np.finfo(np.float32).max), np.inf))],
+        [1e308, -1e308, float(np.nextafter(FLOAT32_MAX, np.inf))],
         ids=["overflows_the_sum", "negative", "just_above_float32_max"],
     )
     def test_rejects_logits_beyond_the_float32_range(self, value):
@@ -163,6 +165,107 @@ class TestRunSample:
         with pytest.raises(NonPositiveCostError) as dataset:
             EnsembleDataset(logits[:, None, :].astype(np.float32), np.zeros(1, np.int64), costs)
         assert str(single.value) == str(dataset.value)
+
+    # thresholds of 0 stop every sample after model 0, so only the checks of
+    # the whole input can see a bad value in the last model
+    @pytest.mark.parametrize(
+        "value",
+        [math.nan, math.inf, -math.inf, float(np.nextafter(FLOAT32_MAX, np.inf))],
+        ids=["nan", "inf", "minus_inf", "beyond_float32"],
+    )
+    def test_a_bad_logit_after_the_exit_stage_is_refused(self, value):
+        logits = np.zeros((3, 4))
+        logits[0, 1] = 5.0
+        schedule = ThresholdSchedule.uniform(0.0, 3)
+        assert run_sample(logits, schedule, [1.0, 1.0, 1.0]).models_used == 1
+        logits[2, 3] = value
+        with pytest.raises(NonFiniteLogitError) as single:
+            run_sample(logits, schedule, [1.0, 1.0, -1.0])  # logits are checked before costs
+        assert (single.value.model, single.value.sample, single.value.class_index) == (2, 0, 3)
+        assert str(single.value) == "non-finite logit at model=2, sample=0, class=3"
+
+    @pytest.mark.parametrize(
+        "cost", [-1.0, 0.0, math.nan, math.inf], ids=["negative", "zero", "nan", "inf"]
+    )
+    def test_a_bad_cost_after_the_exit_stage_is_refused(self, cost):
+        logits = np.zeros((3, 4))
+        with pytest.raises(NonPositiveCostError) as single:
+            run_sample(logits, ThresholdSchedule.uniform(0.0, 3), [1.0, 1.0, cost])
+        assert single.value.model == 2
+        with pytest.raises(NonPositiveCostError) as dataset:
+            EnsembleDataset(
+                logits[:, None, :].astype(np.float32), np.zeros(1, np.int64), [1.0, 1.0, cost]
+            )
+        assert str(single.value) == str(dataset.value)
+
+    def test_a_cost_total_beyond_the_float_range_after_the_exit_stage_is_refused(self):
+        costs = [1.0, 1e308, 1e308]
+        with pytest.raises(ValidationError, match=r"^costs_ms \[1.0, 1e\+308, 1e\+308\] overflow"):
+            run_sample(np.zeros((3, 4)), ThresholdSchedule.uniform(0.0, 3), costs)
+
+    def test_a_schedule_for_another_ensemble_is_refused_before_the_logits(self):
+        logits = np.full((3, 4), math.nan)
+        with pytest.raises(ScheduleMismatchError):
+            run_sample(logits, ThresholdSchedule.uniform(0.0, 2), [1.0, 1.0, 1.0])
+
+
+# class counts on both sides of run_sample's list and array paths and of
+# numpy's pairwise_sum edges
+RUN_SAMPLE_CLASSES = sorted(
+    {2, 3, 7, 8, 9, 10, 16, 17, 33, 129, 300}
+    | {cascade_engine._LIST_MAX_CLASSES, cascade_engine._LIST_MAX_CLASSES + 1}
+)
+
+
+class TestRunSampleEqualsRunDataset:
+    @pytest.mark.parametrize("num_classes", RUN_SAMPLE_CLASSES)
+    def test_every_trace_field_is_equal(self, num_classes):
+        num_models = 4
+        rng = np.random.default_rng([num_classes, 18])
+        # in blocks of 40 samples: integer logits in [-2, 2], so exact ties, and a
+        # top-two gap of 40 in every fifth; all-zero rows; 1e-6-scale logits,
+        # which exp rounds to ties; near ties; logits of scale 3
+        logits = np.concatenate([
+            tied_logits(rng, num_models, 40, num_classes),
+            np.zeros((num_models, 40, num_classes), np.float32),
+            rng.normal(0, 1e-6, (num_models, 40, num_classes)).astype(np.float32),
+            rng.normal(0, 3, (num_models, 80, num_classes)).astype(np.float32),
+        ], axis=1)
+        add_near_ties(logits, range(120, 160))
+        labels = rng.integers(0, num_classes, logits.shape[1])
+        ds = EnsembleDataset(logits, labels, rng.uniform(0.5, 3.0, num_models))
+        margins = stage_tables(ds).margins
+        assert (margins[:, 40:80] == 0.0).all()
+        saturated = margins[:, :40:5].min()  # the gap of 40: exactly 1.0 up to 33 classes
+        assert saturated == 1.0 if num_classes <= 33 else saturated > 1 - 1e-12
+        for thresholds in [
+            (0.0, 0.0, 0.0), (1.0, 1.0, 1.0), (1.0, 0.0, 1.0), (0.3, 0.1, 0.05), (0.9, 0.5, 1.0),
+        ]:
+            schedule = ThresholdSchedule(thresholds)
+            run = run_dataset(ds, schedule)
+            for sample in range(ds.num_samples):
+                single, trace = run_sample(logits[:, sample], schedule, ds.costs_ms), run[sample]
+                assert single.models_used == trace.models_used
+                assert single.prediction == trace.prediction
+                assert single.cost_ms == trace.cost_ms
+                assert single.margins.tobytes() == trace.margins.tobytes()
+
+    @pytest.mark.parametrize("num_classes", [3, 7, 18, 103])
+    def test_a_top_tie_that_division_moves_to_an_earlier_class(self, num_classes):
+        # class 0 exps to 1 - 2**-53 and every other class to 1.0, a top-two
+        # margin of exactly 0; divided by the sum, class 0 rounds up to the
+        # others, so the definition predicts class 0, not class 1
+        logits = np.zeros((2, 1, num_classes), np.float32)
+        logits[:, 0, 0] = -4.6e-17
+        margins, predictions = reference_stage_stats(logits.astype(np.float64))
+        assert predictions.tolist() == [[0], [0]]
+        ds = EnsembleDataset(logits, np.zeros(1, np.int64), np.ones(2))
+        for schedule in (ThresholdSchedule((0.0,)), ThresholdSchedule((1.0,))):
+            single = run_sample(logits[:, 0], schedule, ds.costs_ms)
+            trace = run_dataset(ds, schedule)[0]
+            assert single.prediction == trace.prediction == 0
+            assert single.margins.tobytes() == trace.margins.tobytes()
+            assert single.margins.tobytes() == margins[: single.models_used, 0].tobytes()
 
 
 class TestRunDataset:
@@ -431,7 +534,7 @@ class TestChunkedStageTables:
             assert single.margins.tobytes() == margins[:, sample].tobytes()
             assert single.prediction == predictions[-1, sample]
 
-    def test_layout_switches_by_class_count_and_run_sample_stays_row_major(
+    def test_layout_switches_by_class_count_and_run_sample_equals_the_row_kernel(
         self, monkeypatch, dataset_factory
     ):
         calls = []
@@ -449,9 +552,14 @@ class TestChunkedStageTables:
             calls.clear()
             stage_tables(ds)
             assert set(calls) == {kernel}
-            calls.clear()
-            run_sample(ds.logits[:, 0], ThresholdSchedule.uniform(0.5, ds.num_models), ds.costs_ms)
-            assert calls == ["_prefix_stage_stats"]
+            # run_sample gives the row kernel's bytes
+            logits = ds.logits[:, 0]
+            prefix = np.cumsum(logits[:, None, :], axis=0, dtype=np.float64)
+            margins, predictions = _prefix_stage_stats(prefix)
+            never_stop = ThresholdSchedule.uniform(1.0, ds.num_models)
+            single = run_sample(logits, never_stop, ds.costs_ms)
+            assert single.margins.tobytes() == margins[:, 0].tobytes()
+            assert single.prediction == predictions[-1, 0]
 
     def test_prefix_build_reuses_a_larger_cached_build(self, dataset_factory):
         ds = dataset_factory(np.random.default_rng(4), num_models=3)

@@ -3,13 +3,16 @@
 Each setting below runs one small pipeline in a fresh interpreter: gen,
 calibrate, run and baseline through the CLI at C=10; gen, run and baseline
 on a C=100 dataset, whose stage tables the row kernel builds; then report
-on a few C=10 schedules through the library. OPENBLAS_CORETYPE picks
+on a few C=10 schedules through the library, and run_sample on the first
+500 samples of both datasets under the same schedules, which must give
+run_dataset's traces in the same interpreter. OPENBLAS_CORETYPE picks
 OpenBLAS's kernels, so Haswell and Prescott stand in for CPUs other than
 this one, and NPY_ENABLE_CPU_FEATURES=X86_V3 switches off numpy's AVX-512
 loops. Every setting must give the default's thresholds, CLI stdout, CSV
-bytes, stage predictions, per-sample exit stages and every EvaluationReport
-field by repr. The seed-42 config gives a different calibrated R under
-Haswell and Prescott when R is scored by a BLAS dot.
+bytes, stage predictions, per-sample exit stages, run_sample's exit stages
+and predictions, and every EvaluationReport field by repr. The seed-42
+config gives a different calibrated R under Haswell and Prescott when R is
+scored by a BLAS dot.
 
 Margins are left out on purpose: np.exp's last bit depends on the loop
 numpy dispatches, so margins are stable only per numpy build and dispatch
@@ -29,9 +32,9 @@ import pytest
 PIPELINE = r"""
 import contextlib, dataclasses, hashlib, io, json
 from flexens.calibration import load_schedule
-from flexens.cascade_engine import ThresholdSchedule, run_dataset, stage_tables
+from flexens.cascade_engine import ThresholdSchedule, run_dataset, run_sample, stage_tables
 from flexens.cli import main
-from flexens.dataset_io import MANIFEST_NAME, open_dataset
+from flexens.dataset_io import MANIFEST_NAME, load_dataset, open_dataset
 from flexens.metrics_report import report
 
 commands = [
@@ -49,16 +52,33 @@ with contextlib.redirect_stdout(stdout):
     codes = [main(command.split()) for command in commands]
 calibrated = load_schedule("calibrated.json").schedule
 dataset = open_dataset(f"data/{MANIFEST_NAME}")
-reports, exit_stages = [], []
-for schedule in (
+schedules = (
     calibrated,
     ThresholdSchedule.uniform(0.5, 7),
     ThresholdSchedule((0.9, 0.7, 0.5, 0.3, 0.2, 0.1)),
-):
+)
+reports, exit_stages = [], []
+for schedule in schedules:
     run = run_dataset(dataset, schedule)
     rep = report(dataset, run)
     reports.append({f.name: repr(getattr(rep, f.name)) for f in dataclasses.fields(rep)})
     exit_stages.append(hashlib.sha256(run.models_used.tobytes()).hexdigest())
+# run_sample on the first 500 samples at C=10 and C=100 gives run_dataset's
+# traces, margins too, in this process; its exits and predictions are compared
+single_samples = []
+for name in ("data", "wide"):
+    loaded = load_dataset(f"{name}/{MANIFEST_NAME}")
+    for schedule in schedules:
+        run, traces = run_dataset(loaded, schedule), []
+        for sample in range(500):
+            single = run_sample(loaded.logits[:, sample], schedule, loaded.costs_ms)
+            trace = run[sample]
+            assert (single.models_used, single.prediction, single.cost_ms) == (
+                trace.models_used, trace.prediction, trace.cost_ms
+            ), (name, sample)
+            assert single.margins.tobytes() == trace.margins.tobytes(), (name, sample)
+            traces.append((single.models_used, single.prediction))
+        single_samples.append(hashlib.sha256(repr(traces).encode()).hexdigest())
 print(json.dumps({
     "exit_codes": codes,
     "thresholds": calibrated.thresholds,
@@ -72,6 +92,7 @@ print(json.dumps({
         for source in (dataset, open_dataset(f"wide/{MANIFEST_NAME}"))
     ],
     "exit_stages": exit_stages,
+    "single_samples": single_samples,
     "reports": reports,
 }))
 """

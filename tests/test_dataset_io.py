@@ -317,19 +317,24 @@ class TestInterruptedSave:
             return lambda config, root: save_dataset(generate(config), root)
         return save_generated
 
-    def test_failure_on_the_second_payload(self, tmp_path, monkeypatch, save):
-        save(SynthConfig(seed=1, **self.CONFIG), tmp_path)
-        old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-        real_write = dataset_io.write_atomic
-        written = []
+    @staticmethod
+    def fail_on_the_second_payload(monkeypatch) -> list:
+        """Make write_atomic raise on its second call; returns the names it is given."""
+        real_write, written = dataset_io.write_atomic, []
 
-        def failing_on_the_second_payload(path, data):
+        def failing(path, data):
             written.append(os.path.basename(path))
             if len(written) == 2:
                 raise OSError("simulated failure")
             real_write(path, data)
 
-        monkeypatch.setattr(dataset_io, "write_atomic", failing_on_the_second_payload)
+        monkeypatch.setattr(dataset_io, "write_atomic", failing)
+        return written
+
+    def test_failure_on_the_second_payload(self, tmp_path, monkeypatch, save):
+        save(SynthConfig(seed=1, **self.CONFIG), tmp_path)
+        old = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        written = self.fail_on_the_second_payload(monkeypatch)
         with pytest.raises(OSError, match="simulated"):
             save(SynthConfig(seed=2, **self.CONFIG), tmp_path)
         assert written == ["logits_000.ensl", "logits_001.ensl"]
@@ -340,6 +345,21 @@ class TestInterruptedSave:
         with pytest.raises(FileNotFoundError):
             open_dataset(tmp_path / MANIFEST_NAME)
         assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+    def test_failure_in_new_directories_leaves_none_of_them(self, tmp_path, monkeypatch, save):
+        self.fail_on_the_second_payload(monkeypatch)
+        with pytest.raises(OSError, match="simulated"):
+            save(SynthConfig(seed=2, **self.CONFIG), tmp_path / "made" / "by" / "save")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failure_removes_only_the_files_it_created(self, tmp_path, monkeypatch, save):
+        (tmp_path / "notes.txt").write_text("kept")
+        (tmp_path / "logits_000.ensl").write_bytes(b"replaced, so not restored")
+        self.fail_on_the_second_payload(monkeypatch)
+        with pytest.raises(OSError, match="simulated"):
+            save(SynthConfig(seed=2, **self.CONFIG), tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["logits_000.ensl", "notes.txt"]
+        assert (tmp_path / "notes.txt").read_text() == "kept"
 
     def test_failed_manifest_replace(self, tmp_path, monkeypatch, save):
         save(SynthConfig(seed=1, **self.CONFIG), tmp_path)

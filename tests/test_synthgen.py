@@ -265,7 +265,16 @@ class TestStreamedGen:
         assert main(["gen", "--models", "2", "--samples", "5", "--classes", "3", "--seed", "1",
                      "--sigma", "1e39", "--out", str(out)]) == 1
         assert capsys.readouterr().err == "error: non-finite logit at model=0, sample=0, class=0\n"
-        assert not (out / MANIFEST_NAME).exists()
+        assert not out.exists()
+
+    def test_a_failed_gen_keeps_files_it_did_not_write(self, tmp_path):
+        out = tmp_path / "gen"
+        out.mkdir()
+        (out / "notes.txt").write_text("not the generator's")
+        assert main(["gen", "--models", "2", "--samples", "5", "--classes", "3", "--seed", "1",
+                     "--sigma", "1e39", "--out", str(out)]) == 1
+        assert [p.name for p in out.iterdir()] == ["notes.txt"]
+        assert (out / "notes.txt").read_text() == "not the generator's"
 
     def test_returns_the_manifest_of_save_dataset(self, tmp_path):
         config = SynthConfig(2, 30, 3, 4)
