@@ -42,7 +42,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cascade_engine import ThresholdSchedule, _stage_chunks, _stop_levels, run_dataset
+from .cascade_engine import ThresholdSchedule, _stage_chunks, _stop_levels
 from .dataset_io import (
     DatasetFiles,
     EnsembleDataset,
@@ -51,7 +51,7 @@ from .dataset_io import (
     write_atomic,
 )
 from .errors import MalformedScheduleError
-from .metrics_report import EvaluationReport, report, score_counts
+from .metrics_report import EvaluationReport, SweepRow, flexible_sweep, score_counts
 
 DEFAULT_ALPHA = 0.5
 DEFAULT_GRID_STEP = 0.01
@@ -85,7 +85,7 @@ class CalibrationObjective:
     value: float  # alpha * latency_ratio + (1 - alpha) * error_increase
 
 
-def _objective(alpha: float, rep: EvaluationReport) -> CalibrationObjective:
+def _objective(alpha: float, rep: EvaluationReport | SweepRow) -> CalibrationObjective:
     value = alpha * rep.latency_ratio + (1.0 - alpha) * rep.error_increase
     return CalibrationObjective(alpha, rep.latency_ratio, rep.error_increase, value)
 
@@ -98,9 +98,10 @@ def _check_alpha(alpha: float) -> None:
 def evaluate_objective(
     dataset: EnsembleDataset, schedule: ThresholdSchedule, alpha: float = DEFAULT_ALPHA
 ) -> CalibrationObjective:
-    """Run the cascade under `schedule` and score it against the full ensemble."""
+    """Run the cascade under `schedule` and score it against the full ensemble,
+    in one streamed pass over the stages."""
     _check_alpha(alpha)
-    return _objective(float(alpha), report(dataset, run_dataset(dataset, schedule)))
+    return _objective(float(alpha), flexible_sweep(dataset, [("", schedule)])[0])
 
 
 # the search tallies the alive samples' bins this many samples at a time, so

@@ -9,21 +9,20 @@ threshold of 1 never stops, not even where a top-two logit gap beyond ~36
 rounds the margin to exactly 1.0, which reproduces full-ensemble execution.
 
 Because the per-stage margins and predictions of a sample do not depend on
-the threshold schedule, they are computed once per dataset as schedule
-independent "stage tables" and cached; running a schedule is then a cheap
-vectorized scan. One generator, _stage_chunks, computes them from a chunk
-source: an in-memory EnsembleDataset, or a DatasetFiles handle that reads
-the payload files, checking them as it goes (see dataset_io). It takes a
-chunk of samples (about 64 Ki values per model) at a time from either and
-yields that chunk's margins and predictions, so it needs O(chunk) working
-memory however many samples there are. stage_tables stores what it yields
-as the (N, M) tables. metrics_report's sweeps and histogram instead reduce
-each chunk to counts as it comes, and calibration.calibrate to grid bins and
-wrong flags, so the CLI's run, baseline, histogram and calibrate hold
-neither the (N, M, C) tensor nor the (N, M) tables; a source whose
-tables are already cached is served slices of them. Stage k depends only on
-models 1..k, so a build of the first k models gives the first k rows of the
-full one.
+the threshold schedule, one pass over the stages serves any number of
+schedules, each a cheap vectorized scan. One generator, _stage_chunks,
+computes them from a chunk source: an in-memory EnsembleDataset, or a
+DatasetFiles handle that reads the payload files, checking them as it goes
+(see dataset_io). It takes a chunk of samples (about 64 Ki values per model)
+at a time from either and yields that chunk's margins and predictions, so it
+needs O(chunk) working memory however many samples there are. stage_tables
+stores what it yields as the schedule-independent (N, M) "stage tables",
+built anew on every call and kept by nothing but the caller. metrics_report's
+sweeps and histogram instead reduce each chunk to counts as it comes, and
+calibration.calibrate to grid bins and wrong flags, so the CLI's run,
+baseline, histogram and calibrate hold neither the (N, M, C) tensor nor the
+(N, M) tables. Stage k depends only on models 1..k, so a pass over the first
+k models gives the first k stages of the full one.
 
 Two kernels compute the same bytes from a chunk's running logit sums. The
 definition is the softmax of the running mean, then its top two: divide the
@@ -58,13 +57,12 @@ a hand-built list of traces.
 
 from __future__ import annotations
 
-import weakref
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset_io import _FLOAT32_MAX, DatasetFiles, EnsembleDataset, _cumulative_costs
+from .dataset_io import DatasetFiles, EnsembleDataset, _beyond_float32_at, _cumulative_costs
 from .errors import DimensionMismatchError, NonFiniteLogitError, ScheduleMismatchError
 
 
@@ -118,9 +116,8 @@ class StageTables:
 
     Row k-1 describes the ensemble truncated to its first k models: margins
     and argmax predictions of softmax(mean(logits[:k])), plus cumulative
-    costs. Arrays are frozen; instances are cached per chunk source.
-    stage_tables builds them chunk by chunk in O(chunk) working memory, with
-    the same bytes a whole-array build gives.
+    costs. Arrays are frozen. stage_tables builds them chunk by chunk in
+    O(chunk) working memory, with the same bytes a whole-array build gives.
     """
 
     margins: np.ndarray  # (num_models, num_samples) float64
@@ -162,11 +159,6 @@ class CascadeRun(Sequence):
             prediction=int(tables.predictions[used - 1, sample]),
             cost_ms=float(tables.cum_costs_ms[used - 1]),
         )
-
-
-_TABLES_CACHE: "weakref.WeakKeyDictionary[EnsembleDataset | DatasetFiles, StageTables]" = (
-    weakref.WeakKeyDictionary()
-)
 
 
 def _prefix_stage_stats(prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -322,15 +314,9 @@ def _stage_chunks(
     Only the samples below stop (default all) are yielded, and the kernel runs
     only on the chunks that hold them, but every chunk is still read, so a
     DatasetFiles pass checks all of them; it raises at its end, once the
-    consumer has taken every chunk. A source whose cached tables cover
-    num_models stages is served as one slice of them.
+    consumer has taken every chunk.
     """
     stop = source.num_samples if stop is None else min(stop, source.num_samples)
-    tables = _TABLES_CACHE.get(source)
-    if tables is not None and tables.num_models >= num_models:
-        rows = slice(num_models)
-        yield slice(stop), tables.margins[rows, :stop], tables.predictions[rows, :stop]
-        return
     class_major = source.num_classes <= _CLASS_MAJOR_MAX_CLASSES
     kernel = _class_major_stage_stats if class_major else _prefix_stage_stats
     buffer = None
@@ -350,33 +336,20 @@ def _stage_chunks(
         yield samples, *kernel(prefix)
 
 
-def stage_tables(
-    source: EnsembleDataset | DatasetFiles, num_models: int | None = None
-) -> StageTables:
-    """Compute (or fetch cached) stage tables for a chunk source.
-
-    num_models builds the first num_models stages only (default all). Cached
-    tables of a larger build are returned as they are, so row k-1 is stage k
-    either way.
-    """
-    models = source.num_models if num_models is None else num_models
-    if not 1 <= models <= source.num_models:
-        raise ValueError(f"num_models must be in [1, {source.num_models}], got {models}")
-    tables = _TABLES_CACHE.get(source)
-    if tables is None or tables.num_models < models:
-        margins = np.empty((models, source.num_samples), dtype=np.float64)
-        predictions = np.empty((models, source.num_samples), dtype=np.int64)
-        for samples, chunk_margins, chunk_predictions in _stage_chunks(source, models):
-            margins[:, samples], predictions[:, samples] = chunk_margins, chunk_predictions
-            # freed before the next chunk's kernel runs, which would otherwise raise the peak
-            del chunk_margins, chunk_predictions
-        wrong = np.count_nonzero(predictions != source.labels, axis=1).astype(np.int64)
-        cum_costs = np.array(_cumulative_costs(source.costs_ms[:models], source.num_samples))
-        for arr in (margins, predictions, wrong, cum_costs):
-            arr.setflags(write=False)
-        tables = StageTables(margins, predictions, wrong, cum_costs)
-        _TABLES_CACHE[source] = tables
-    return tables
+def stage_tables(source: EnsembleDataset | DatasetFiles) -> StageTables:
+    """Build the stage tables of every stage for a chunk source, on every call."""
+    num_models, num_samples = source.num_models, source.num_samples
+    margins = np.empty((num_models, num_samples), dtype=np.float64)
+    predictions = np.empty((num_models, num_samples), dtype=np.int64)
+    for samples, chunk_margins, chunk_predictions in _stage_chunks(source, num_models):
+        margins[:, samples], predictions[:, samples] = chunk_margins, chunk_predictions
+        # freed before the next chunk's kernel runs, which would otherwise raise the peak
+        del chunk_margins, chunk_predictions
+    wrong = np.count_nonzero(predictions != source.labels, axis=1).astype(np.int64)
+    cum_costs = np.array(_cumulative_costs(source.costs_ms, num_samples))
+    for arr in (margins, predictions, wrong, cum_costs):
+        arr.setflags(write=False)
+    return StageTables(margins, predictions, wrong, cum_costs)
 
 
 def _stop_level(threshold: float) -> float:
@@ -442,10 +415,10 @@ def run_sample(logits_per_model, schedule: ThresholdSchedule, costs_ms) -> Casca
             f"expected {num_models} costs, got shape {costs.shape}"
         )
     schedule.validate_for(num_models)
-    magnitudes = np.abs(logits)
-    if not magnitudes.max() <= _FLOAT32_MAX:  # max propagates NaN, and NaN <= x is false
-        model, column = np.unravel_index(np.argmin(magnitudes <= _FLOAT32_MAX), logits.shape)
-        raise NonFiniteLogitError(int(model), 0, int(column))
+    bad = _beyond_float32_at(logits)
+    if bad is not None:
+        model, column = bad
+        raise NonFiniteLogitError(model, 0, column)
     cum_costs = _cumulative_costs(costs, 1)
 
     # the row kernel's steps on every stage at once; subtracting the row max,

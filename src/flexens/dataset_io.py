@@ -134,6 +134,16 @@ def _nonfinite_at(block: np.ndarray) -> tuple[int, ...] | None:
     return tuple(int(i) for i in np.unravel_index(np.argmin(np.isfinite(block)), block.shape))
 
 
+def _beyond_float32_at(values: np.ndarray) -> tuple[int, ...] | None:
+    """The index of the first value of `values` that is not finite or lies
+    beyond the float32 range, or None if there is none."""
+    magnitudes = np.abs(values)
+    if magnitudes.max() <= _FLOAT32_MAX:  # max propagates NaN, and NaN <= x is false
+        return None
+    at = np.unravel_index(np.argmin(magnitudes <= _FLOAT32_MAX), values.shape)
+    return tuple(int(i) for i in at)
+
+
 def _cumulative_costs(costs: np.ndarray, num_samples: int) -> list[float]:
     """Running sums of the per-model costs, added left to right as np.cumsum
     does; raises for the first cost that is not finite and positive, then if
@@ -310,15 +320,13 @@ def _write_dataset(
     try:
         root.mkdir(parents=True, exist_ok=True)
         (root / MANIFEST_NAME).unlink(missing_ok=True)
-        header = struct.pack(
-            _header_format(2), LOGIT_MAGIC, FORMAT_VERSION, num_samples, num_classes
-        )
+        header = _header(LOGIT_MAGIC, (num_samples, num_classes))
         logit_files = []
         for i, chunks in enumerate(models):
             logit_files.append(f"logits_{i:03d}.ensl")
             write(logit_files[-1], itertools.chain([header], chunks))
         label_file = "labels.ensy"
-        write(label_file, _payload(LABEL_MAGIC, labels.astype("<u4")))
+        write(label_file, (_header(LABEL_MAGIC, labels.shape), labels.astype("<u4")))
         manifest = DatasetManifest(
             version=FORMAT_VERSION,
             num_models=len(logit_files),
@@ -416,10 +424,9 @@ def _header_format(ndim: int) -> str:
     return f"<4sI{ndim}I"
 
 
-def _payload(magic: bytes, array: np.ndarray) -> tuple[bytes, np.ndarray]:
-    """A payload file's contents: its header, then the contiguous little-endian array."""
-    header = struct.pack(_header_format(array.ndim), magic, FORMAT_VERSION, *array.shape)
-    return header, array
+def _header(magic: bytes, shape: tuple[int, ...]) -> bytes:
+    """A payload file's header, which the contiguous little-endian array follows."""
+    return struct.pack(_header_format(len(shape)), magic, FORMAT_VERSION, *shape)
 
 
 def _open_payload(path: Path, magic: bytes, shape: tuple[int, ...]) -> BinaryIO:
@@ -626,8 +633,7 @@ def import_csv(logits_csvs: Sequence, labels_csv, costs_ms) -> EnsembleDataset:
             ) from exc
 
     logits = np.stack(matrices)
-    magnitudes = np.abs(logits)
-    if not magnitudes.max() <= _FLOAT32_MAX:  # max propagates NaN, and NaN <= x is false
-        bad = np.unravel_index(np.argmin(magnitudes <= _FLOAT32_MAX), logits.shape)
-        raise NonFiniteLogitError(*map(int, bad))
+    bad = _beyond_float32_at(logits)
+    if bad is not None:
+        raise NonFiniteLogitError(*bad)
     return EnsembleDataset(logits=logits.astype(np.float32), labels=labels, costs_ms=costs)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flexens import calibration, cascade_engine, metrics_report
 from flexens.calibration import (
     CalibrationObjective,
     GridSpec,
@@ -18,8 +19,6 @@ from flexens.calibration import (
     save_schedule,
 )
 from flexens.cascade_engine import (
-    _TABLES_CACHE,
-    StageTables,
     ThresholdSchedule,
     _stop_levels,
     full_ensemble_predictions,
@@ -30,7 +29,6 @@ from flexens.dataset_io import (
     _CHUNK_VALUES,
     MANIFEST_NAME,
     EnsembleDataset,
-    _cumulative_costs,
     open_dataset,
     save_dataset,
 )
@@ -110,19 +108,29 @@ def sorted_sweep_calibrate(dataset, alpha, grid):
     return tuple(chosen)
 
 
-def tabled_dataset(margins, predictions, labels, costs):
-    """A dataset whose cached stage tables hold the given margins and
-    predictions, so calibrate and run_dataset see exactly these values."""
-    margins = np.asarray(margins, dtype=np.float64)
-    predictions = np.asarray(predictions, dtype=np.int64)
-    num_models, num_samples = margins.shape
-    num_classes = max(2, int(predictions.max()) + 1, int(np.max(labels)) + 1)
-    logits = np.zeros((num_models, num_samples, num_classes), dtype=np.float32)
-    dataset = EnsembleDataset(logits, labels, costs)
-    wrong = np.count_nonzero(predictions != dataset.labels, axis=1).astype(np.int64)
-    cum_costs = np.array(_cumulative_costs(dataset.costs_ms, num_samples))
-    _TABLES_CACHE[dataset] = StageTables(margins, predictions, wrong, cum_costs)
-    return dataset
+@pytest.fixture
+def tabled_dataset(monkeypatch):
+    """Make a dataset whose stage passes yield the given margins and
+    predictions as one chunk, so calibrate, run_dataset and evaluate_objective
+    see exactly these values."""
+
+    def make(margins, predictions, labels, costs):
+        margins = np.asarray(margins, dtype=np.float64)
+        predictions = np.asarray(predictions, dtype=np.int64)
+        num_models, num_samples = margins.shape
+        num_classes = max(2, int(predictions.max()) + 1, int(np.max(labels)) + 1)
+        logits = np.zeros((num_models, num_samples, num_classes), dtype=np.float32)
+        dataset = EnsembleDataset(logits, labels, costs)
+
+        def stage_chunks(source, stages, stop=None):
+            assert source is dataset
+            yield slice(stop), margins[:stages, :stop], predictions[:stages, :stop]
+
+        for module in (cascade_engine, calibration, metrics_report):
+            monkeypatch.setattr(module, "_stage_chunks", stage_chunks)
+        return dataset
+
+    return make
 
 
 @st.composite
@@ -339,7 +347,7 @@ class TestBinnedSearch:
 
     @pytest.mark.parametrize("step", [0.05, 0.01, 0.001])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
-    def test_a_margin_on_a_grid_value_exits_there(self, step, offset):
+    def test_a_margin_on_a_grid_value_exits_there(self, tabled_dataset, step, offset):
         # one sample whose stage-1 prediction is wrong and whose full-ensemble
         # prediction is right: the accuracy-only search picks the lowest tau
         # that keeps it running, the first grid value above its margin
@@ -351,7 +359,7 @@ class TestBinnedSearch:
             expected = values[index + (offset >= 0)]
             assert calibrate(ds, alpha=0.0, grid=GridSpec(step)).thresholds == (expected,)
 
-    def test_a_saturated_margin_is_never_stopped_by_a_threshold_of_one(self):
+    def test_a_saturated_margin_is_never_stopped_by_a_threshold_of_one(self, tabled_dataset):
         # two samples with margins of exactly 1.0 are wrong after one model and
         # right after two: only a stage-1 threshold of 1.0 keeps them running
         margins = [[1.0, 1.0, 0.3], [1.0, 1.0, 0.6], [0.0, 0.0, 0.0]]
@@ -392,7 +400,6 @@ class TestBinnedSearch:
                     expected = sorted_sweep_calibrate(tabled, alpha, grid)
                     assert calibrate(streamed, alpha, grid).thresholds == expected
                     assert calibrate(tabled, alpha, grid).thresholds == expected
-            assert _TABLES_CACHE.get(streamed) is None
 
 
 class TestScheduleFile:

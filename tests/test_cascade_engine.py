@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from flexens.cascade_engine import (
     ThresholdSchedule,
     _class_major_stage_stats,
     _prefix_stage_stats,
+    _stage_chunks,
     full_ensemble_predictions,
     run_dataset,
     run_sample,
@@ -292,6 +295,14 @@ class TestRunDataset:
         with pytest.raises(ScheduleMismatchError):
             run_dataset(ds, ThresholdSchedule((0.5,)))
 
+    def test_dropping_a_run_frees_its_tables_while_the_dataset_lives(self, dataset_factory):
+        ds = dataset_factory(np.random.default_rng(5), num_models=3)
+        run = run_dataset(ds, ThresholdSchedule((0.5, 0.5)))
+        tables = weakref.ref(run.tables)
+        del run
+        gc.collect()
+        assert tables() is None
+
     def test_trace_invariants_hold(self, dataset_factory):
         rng = np.random.default_rng(17)
         for _ in range(5):
@@ -481,13 +492,23 @@ class TestChunkedStageTables:
 
         # the payload files give the same bytes, and stage k needs only models 1..k
         save_dataset(ds, tmp_path)
+        streamed = stage_tables(open_dataset(tmp_path / MANIFEST_NAME))
+        assert streamed.margins.tobytes() == tables.margins.tobytes()
+        np.testing.assert_array_equal(streamed.predictions, tables.predictions)
+        np.testing.assert_array_equal(streamed.wrong_counts, tables.wrong_counts)
+        np.testing.assert_array_equal(streamed.cum_costs_ms, tables.cum_costs_ms)
         for models in range(1, num_models + 1):
-            streamed = stage_tables(open_dataset(tmp_path / MANIFEST_NAME), models)
-            assert streamed.num_models == models
-            assert streamed.margins.tobytes() == tables.margins[:models].tobytes()
-            np.testing.assert_array_equal(streamed.predictions, tables.predictions[:models])
-            np.testing.assert_array_equal(streamed.wrong_counts, tables.wrong_counts[:models])
-            np.testing.assert_array_equal(streamed.cum_costs_ms, tables.cum_costs_ms[:models])
+            covered, wrong = 0, np.zeros(models, dtype=np.int64)
+            for samples, margins, predictions in _stage_chunks(
+                open_dataset(tmp_path / MANIFEST_NAME), models
+            ):
+                assert samples.start == covered and margins.shape[0] == models
+                assert margins.tobytes() == tables.margins[:models, samples].tobytes()
+                np.testing.assert_array_equal(predictions, tables.predictions[:models, samples])
+                wrong += np.count_nonzero(predictions != labels[samples], axis=1)
+                covered = samples.stop
+            assert covered == num_samples
+            np.testing.assert_array_equal(wrong, tables.wrong_counts[:models])
 
     @pytest.mark.parametrize("num_classes", range(2, 258))
     def test_class_major_kernel_equals_row_kernel(self, num_classes):
@@ -560,18 +581,6 @@ class TestChunkedStageTables:
             single = run_sample(logits, never_stop, ds.costs_ms)
             assert single.margins.tobytes() == margins[:, 0].tobytes()
             assert single.prediction == predictions[-1, 0]
-
-    def test_prefix_build_reuses_a_larger_cached_build(self, dataset_factory):
-        ds = dataset_factory(np.random.default_rng(4), num_models=3)
-        first = stage_tables(ds, 2)
-        assert first.num_models == 2
-        full = stage_tables(ds)
-        assert full.num_models == 3
-        assert full.margins[:2].tobytes() == first.margins.tobytes()
-        assert stage_tables(ds, 1) is full
-        for bad in (0, 4):
-            with pytest.raises(ValueError, match=r"num_models must be in \[1, 3\]"):
-                stage_tables(ds, bad)
 
     def test_cold_build_memory_is_bounded_by_its_outputs(self, dataset_factory):
         # the whole-array build held about three float64 copies of the tensor (36 MB here)

@@ -646,7 +646,6 @@ class TestStreamedChecks:
         assert expected[0] is error and expected[1].startswith(message)
         assert _raised(lambda: open_dataset(manifest).check()) == expected
         assert _raised(lambda: stage_tables(open_dataset(manifest))) == expected
-        assert _raised(lambda: stage_tables(open_dataset(manifest), 1)) == expected
         # the streamed reducers check every chunk too, and raise only once the pass ends
         schedules = [("s", ThresholdSchedule.uniform(0.5, 3))]
         assert _raised(lambda: flexible_sweep(open_dataset(manifest), schedules)) == expected

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from flexens.calibration import evaluate_objective, save_schedule
 from flexens.cascade_engine import (
-    _TABLES_CACHE,
     ThresholdSchedule,
     run_dataset,
     run_sample,
@@ -317,9 +316,7 @@ class TestStreamedRoutes:
             EnsembleDataset(tabled.logits.copy(), labels, costs),
             open_dataset(tmp_path / MANIFEST_NAME),
         ]
-        partial = EnsembleDataset(tabled.logits.copy(), labels, costs)
-        stage_tables(partial, 2)  # its cached tables serve up to two stages
-        for source in [*streamed, partial, tabled]:  # tabled serves its cached tables
+        for source in [*streamed, tabled]:
             assert [repr(row) for row in flexible_sweep(source, schedules)] == expected
             assert [repr(row) for row in ensemble_size_sweep(source)] == expected_sweep
             for k, limit in [(1, None), (num_models, None), (2, 1), (3, step), (2, step + 5),
@@ -332,9 +329,6 @@ class TestStreamedRoutes:
                                        (histogram.wrong_counts, ~correct)]:
                     tally = np.histogram(margins[chosen], bins=histogram.bin_edges)[0]
                     assert counts.dtype == tally.dtype and counts.tolist() == tally.tolist()
-        for source in streamed:
-            assert _TABLES_CACHE.get(source) is None
-        assert _TABLES_CACHE[partial].num_models == 2
 
 
 class TestCsvOutput:
