@@ -37,11 +37,11 @@ overhead for each of its reductions, which dominates when the row is
 short. So up to _CLASS_MAJOR_MAX_CLASSES classes stage_tables lays each
 chunk out class-major, (N, C, n), for _class_major_stage_stats, whose
 every step is elementwise over all n samples at once; its class sum replays
-numpy's pairwise_sum, the order .sum(axis=-1) adds a row in, so no bit
-changes. The row kernel stays for wide C, where its reductions are cheap
-and the class-major kernel's C-long loops of numpy calls are not. Either way
-a sample's results do not depend on which other samples share its chunk, so
-chunking changes no output bit.
+numpy's pairwise_sum, the order .sum(axis=-1) adds a row of up to 128 values
+in, so no bit changes. The row kernel stays for wide C, where its reductions
+are cheap and the class-major kernel's C-long loops of numpy calls are not.
+Either way a sample's results do not depend on which other samples share its
+chunk, so chunking changes no output bit.
 
 run_sample, the per-request path, checks its whole input first, as datasets
 check theirs. It then takes the row kernel's steps on all N stages of its
@@ -86,10 +86,6 @@ class ThresholdSchedule:
     @classmethod
     def uniform(cls, value: float, num_models: int) -> "ThresholdSchedule":
         return cls((value,) * (num_models - 1))
-
-    @property
-    def num_stages(self) -> int:
-        return len(self.thresholds)
 
     def validate_for(self, num_models: int) -> None:
         if len(self.thresholds) != num_models - 1:
@@ -213,28 +209,21 @@ def _prefix_stage_stats(prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # Per chunk (N=7, 64 Ki values per model; copy, prefix sums and kernel) the
 # class-major build took 0.47x the row build's time at C=10, 0.74x at 24,
 # 0.87x at 30, 0.98-1.01x at 32, 1.06-1.10x at 34 and 1.21x at 48 (2 vCPU
-# AVX-512 Xeon, numpy 2.4.6).
+# AVX-512 Xeon, numpy 2.4.6). It may not exceed 128: the class-major kernel's
+# _pairwise_sum replays numpy's order only for rows of at most 128 values.
 _CLASS_MAJOR_MAX_CLASSES = 32
-
-# numpy's pairwise_sum adds up to this many values with 8 accumulators, and
-# halves longer runs
-_PAIRWISE_BLOCK = 128
 
 
 def _pairwise_sum(rows: np.ndarray, out: np.ndarray, spare: list) -> np.ndarray:
     """Sum (num_models, K, n) rows over axis 1 into out, (num_models, n).
 
     Each value is added in the order numpy's pairwise_sum adds a contiguous
-    row of K values, so out equals the row sum bit for bit where the values
-    are not negative (numpy adds the row's sum to 0.0, which then changes
-    nothing). spare holds three free buffers shaped like out.
+    row of K <= 128 values (it halves longer rows), so out equals the row sum
+    bit for bit where the values are not negative (numpy adds the row's sum
+    to 0.0, which then changes nothing). spare holds three free buffers
+    shaped like out.
     """
     num = rows.shape[1]
-    if num > _PAIRWISE_BLOCK:  # two halves, the first a multiple of 8 values long
-        half = num // 2 - num // 2 % 8
-        _pairwise_sum(rows[:, :half], out, spare)
-        out += _pairwise_sum(rows[:, half:], np.empty_like(out), spare)
-        return out
     if num < 8:  # one accumulator
         np.copyto(out, rows[:, 0])
         for j in range(1, num):
@@ -370,8 +359,15 @@ def _models_used(margins: np.ndarray, thresholds) -> np.ndarray:
 
 
 def full_ensemble_predictions(dataset: EnsembleDataset | DatasetFiles) -> np.ndarray:
-    """Predictions when every model is always evaluated."""
-    return stage_tables(dataset).predictions[-1]
+    """Predictions when every model is always evaluated, the stage tables' last
+    row, from one pass that keeps only that row (frozen int64)."""
+    predictions = np.empty(dataset.num_samples, dtype=np.int64)
+    for samples, chunk_margins, chunk_predictions in _stage_chunks(dataset, dataset.num_models):
+        predictions[samples] = chunk_predictions[-1]
+        # freed before the next chunk's kernel runs, which would otherwise raise the peak
+        del chunk_margins, chunk_predictions
+    predictions.setflags(write=False)
+    return predictions
 
 
 # run_sample reduces rows of up to this many classes as Python lists, and wider

@@ -28,9 +28,10 @@ A directory is read in one of two ways. load_dataset builds an
 EnsembleDataset, which holds the whole (N, M, C) tensor; it is the library's
 entry point. open_dataset returns a DatasetFiles handle, which the CLI
 commands use: a plain record of the dimensions, the logit payload paths, the
-labels and the costs, which leaves the logits on disk. open_dataset checks
-the manifest, then every logit payload's header and file size against it,
-then the label payload's, before allocating anything the manifest sizes.
+labels and the costs, which leaves the logits on disk. The handle keeps the
+labels u32 as read; an EnsembleDataset holds them as int64. open_dataset
+checks the manifest, then every logit payload's header and file size against
+it, then the label payload's, before allocating anything the manifest sizes.
 
 Both are chunk sources for cascade_engine.stage_tables: logit_chunks() yields
 (samples, logits[:, samples]) of all N models over consecutive chunks of
@@ -474,17 +475,17 @@ class DatasetFiles:
     """A dataset directory opened by open_dataset; the logits stay on disk.
 
     Every payload's header and size were checked, and the labels read, at
-    open. Each logit_chunks pass reads every logit payload and runs the
-    check an EnsembleDataset runs on construction: finite logits, then labels
-    in range, then positive costs. Until a pass has finished, the label
-    values and the costs are unchecked.
+    open; the labels stay u32, as stored. Each logit_chunks pass reads every
+    logit payload and runs the check an EnsembleDataset runs on construction:
+    finite logits, then labels in range, then positive costs. Until a pass
+    has finished, the label values and the costs are unchecked.
     """
 
     num_models: int
     num_samples: int
     num_classes: int
     logit_paths: tuple[Path, ...]
-    labels: np.ndarray  # (num_samples,) int64, frozen
+    labels: np.ndarray  # (num_samples,) u32 as stored, frozen
     costs_ms: np.ndarray  # (num_models,) float64, frozen
 
     def logit_chunks(self) -> Iterator[tuple[slice, np.ndarray]]:
@@ -533,10 +534,9 @@ def open_dataset(manifest_path) -> DatasetFiles:
     for logit_path in logit_paths:
         _open_payload(logit_path, LOGIT_MAGIC, shape).close()
     label_path = path.parent / manifest.label_file
-    raw_labels = np.empty(manifest.num_samples, dtype="<u4")
-    with _open_payload(label_path, LABEL_MAGIC, raw_labels.shape) as payload:
-        _fill(payload, label_path, raw_labels, payload.tell() + raw_labels.nbytes)
-    labels = raw_labels.astype(np.int64)
+    labels = np.empty(manifest.num_samples, dtype="<u4")
+    with _open_payload(label_path, LABEL_MAGIC, labels.shape) as payload:
+        _fill(payload, label_path, labels, payload.tell() + labels.nbytes)
     costs = np.array(manifest.costs_ms, dtype=np.float64)
     for arr in (labels, costs):
         arr.setflags(write=False)

@@ -33,11 +33,13 @@ at a time:
   each, lane j drawing words j*T .. j*T + T - 1 of its window;
 - jumps: the state transition A is linear over GF(2), so any jump A^k is a
   256x256 bit matrix, held as its 32 byte tables of 256 states each (the
-  image of every value of one state byte). Applying it is 32 gathers and an
-  xor; multiplying or squaring two jumps is the same product applied to one's
-  256 columns. The first window's lanes start by doubling (lanes [h, 2h) are
-  lanes [0, h) jumped by A^(hT)), and every lane moves on by A^(LT) between
-  windows;
+  image of every value of one state byte). A^T comes from stepping the 256
+  unit states T times, at most 256 steps (lanes >= 128 from 8192 words,
+  >= 256 from 32768). Applying a jump is 32 gathers and an xor, and squaring
+  one is the same product applied to its own 256 columns. The first window's
+  lanes start by doubling (lanes [h, 2h) are lanes [0, h) jumped by A^(hT),
+  and squaring A^(hT) gives A^(2hT)), and every lane moves on by A^(LT)
+  between windows;
 - values: the first 2M words give the labels and each sample's signal; each
   later window's normals, an even number, become float32 logits at once, in
   chunks that never cross a model, as x *= sigma then x += base;
@@ -151,27 +153,20 @@ def _apply(tables: np.ndarray, states: np.ndarray) -> np.ndarray:
 
 def _jump(steps: int) -> np.ndarray:
     """The (256, 4) images of the unit states under `steps` steps of the generator,
-    as a product of the squarings of one step over the set bits of `steps`."""
+    found by stepping all 256 of them as one batch."""
     # row i is the unit state of bit i: word i // 64, bit i % 64
     unit = np.packbits(np.eye(256, dtype=bool), axis=1, bitorder="little").view("<u8")
-    power = np.ascontiguousarray(unit.T, dtype=np.uint64)
-    _step(power)
-    power = np.ascontiguousarray(power.T)  # one step: A
-    jump = None
-    while True:
-        if steps & 1:
-            jump = power if jump is None else _apply(_tables(power), jump)
-        steps >>= 1
-        if not steps:
-            return jump
-        power = _apply(_tables(power), power)
+    states = np.ascontiguousarray(unit.T, dtype=np.uint64)
+    for _ in range(steps):
+        _step(states)
+    return np.ascontiguousarray(states.T)
 
 
 def _window_shape(count: int) -> tuple[int, int]:
     """(lanes, steps) of the windows that draw `count` words: a power of two near
     sqrt(count) lanes, each stepped `steps` times per window of at most
     _WINDOW_WORDS words."""
-    lanes = min(max(1 << (count.bit_length() // 2), _MIN_LANES), _MAX_LANES, _WINDOW_WORDS)
+    lanes = min(max(1 << (count.bit_length() // 2), _MIN_LANES), _MAX_LANES)
     return lanes, max(1, min(-(-count // lanes), _WINDOW_WORDS // lanes))
 
 

@@ -446,7 +446,8 @@ def add_near_ties(logits, samples) -> None:
 
 
 # class counts on both sides of the layout switch and of numpy's pairwise_sum
-# edges: 8 accumulators, blocks of at most 128 values, halving above that
+# edges: 8 accumulators, blocks of at most 128 values, halving above that (the
+# counts above _CLASS_MAJOR_MAX_CLASSES reach the row kernel's own numpy sum)
 SWITCH_AND_PAIRWISE_EDGES = sorted(
     {2, 3, 8, 9, 10, 16, 17, 32, 33, 48, 49, 100, 101, 128, 129, 257}
     | {_CLASS_MAJOR_MAX_CLASSES, _CLASS_MAJOR_MAX_CLASSES + 1}
@@ -513,7 +514,10 @@ class TestChunkedStageTables:
     @pytest.mark.parametrize("num_classes", range(2, 258))
     def test_class_major_kernel_equals_row_kernel(self, num_classes):
         # one sample, a ragged tail and a full chunk of running sums, given to
-        # both kernels; each must give the definition's bytes, near ties too
+        # both kernels; each must give the definition's bytes, near ties too.
+        # _pairwise_sum replays numpy's rows of at most 128 values, so the
+        # class-major kernel is checked, and may be dispatched, only up to there
+        assert _CLASS_MAJOR_MAX_CLASSES <= 128
         step = max(1, _CHUNK_VALUES // num_classes)
         for num_samples in (1, step // 3 + 1, step):
             rng = np.random.default_rng([num_classes, num_samples])
@@ -522,9 +526,12 @@ class TestChunkedStageTables:
             add_near_ties(logits, range(2, num_samples, 5))
             margins, predictions = reference_stage_stats(logits.astype(np.float64))
             prefix = np.cumsum(logits, axis=0, dtype=np.float64)
-            rows = _prefix_stage_stats(prefix.copy())
-            columns = _class_major_stage_stats(np.ascontiguousarray(prefix.transpose(0, 2, 1)))
-            for kernel in (rows, columns):
+            kernels = [_prefix_stage_stats(prefix.copy())]
+            if num_classes <= 128:
+                kernels.append(
+                    _class_major_stage_stats(np.ascontiguousarray(prefix.transpose(0, 2, 1)))
+                )
+            for kernel in kernels:
                 assert kernel[0].tobytes() == margins.tobytes(), num_samples
                 assert kernel[1].dtype == np.int64
                 assert kernel[1].tobytes() == predictions.tobytes(), num_samples
@@ -595,3 +602,26 @@ class TestChunkedStageTables:
             tracemalloc.stop()
         outputs = tables.margins.nbytes + tables.predictions.nbytes
         assert peak < outputs + 4 * 2**20
+
+    @pytest.mark.parametrize("source", ["dataset", "files"])
+    def test_full_ensemble_predictions_keep_only_the_last_stage(self, tmp_path, source):
+        # the (N, M) tables (7.2 MB here) exceed the bound; the last chunk is ragged
+        num_models, num_samples, num_classes = 3, 150_000, 10
+        assert num_samples % (_CHUNK_VALUES // num_classes)
+        rng = np.random.default_rng(12)
+        logits = rng.standard_normal((num_models, num_samples, num_classes), np.float32)
+        labels = rng.integers(0, num_classes, num_samples)
+        ds = EnsembleDataset(logits, labels, np.ones(num_models))
+        if source == "files":
+            save_dataset(ds, tmp_path)
+            ds = open_dataset(tmp_path / MANIFEST_NAME)
+        tracemalloc.start()
+        try:
+            predictions = full_ensemble_predictions(ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < predictions.nbytes + 4 * 2**20
+        assert 16 * num_models * num_samples > predictions.nbytes + 4 * 2**20
+        assert predictions.dtype == np.int64 and not predictions.flags.writeable
+        np.testing.assert_array_equal(predictions, stage_tables(ds).predictions[-1])

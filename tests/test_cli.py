@@ -11,7 +11,7 @@ import pytest
 from flexens.calibration import save_schedule
 from flexens.cascade_engine import ThresholdSchedule
 from flexens.cli import main
-from flexens.dataset_io import EnsembleDataset, save_dataset
+from flexens.dataset_io import MANIFEST_NAME, EnsembleDataset, open_dataset, save_dataset
 
 GEN_ARGS = ["--models", "3", "--samples", "120", "--classes", "4", "--seed", "7"]
 
@@ -332,13 +332,24 @@ def test_commands_hold_neither_the_tensor_nor_the_stage_tables(wide_data, comman
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    held = 12 * WIDE_SAMPLES  # int64 labels and the u32 payload they are read from
+    held = 4 * WIDE_SAMPLES  # the u32 labels, kept as read
     if command[0] == "calibrate":
         # one-byte grid bins for stages 1..N-1, wrong flags for all N, the alive mask
         held += (2 * WIDE_MODELS - 1) * WIDE_SAMPLES + WIDE_SAMPLES
     assert peak < held + 4 * 2**20
     tables = 16 * WIDE_MODELS * WIDE_SAMPLES  # float64 margins, int64 predictions
     assert tables > held + 4 * 2**20
+
+
+def test_open_dataset_holds_the_labels_once(wide_data):
+    tracemalloc.start()
+    try:
+        files = open_dataset(wide_data / "data" / MANIFEST_NAME)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert files.labels.dtype == np.dtype("<u4") and not files.labels.flags.writeable
+    assert peak < 4 * WIDE_SAMPLES + 2**19  # an int64 copy would add 8 bytes a sample
 
 
 def test_gen_holds_neither_the_tensor_nor_the_stream(tmp_path):
