@@ -13,9 +13,9 @@ the threshold schedule, one pass over the stages serves any number of
 schedules, each a cheap vectorized scan. One generator, _stage_chunks,
 computes them from a chunk source: an in-memory EnsembleDataset, or a
 DatasetFiles handle that reads the payload files, checking them as it goes
-(see dataset_io). It takes a chunk of samples (about 64 Ki values per model)
-at a time from either and yields that chunk's margins and predictions, so it
-needs O(chunk) working memory however many samples there are. stage_tables
+(see dataset_io). It takes a chunk of samples (about 128 Ki values over all
+models) at a time from either and yields that chunk's margins and predictions,
+so it needs O(chunk) working memory whatever N and M are. stage_tables
 stores what it yields as the schedule-independent (N, M) "stage tables",
 built anew on every call and kept by nothing but the caller. metrics_report's
 sweeps and histogram instead reduce each chunk to counts as it comes, and
@@ -206,12 +206,12 @@ def _prefix_stage_stats(prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # stage_tables builds class-major up to this many classes and row-major above.
-# Per chunk (N=7, 64 Ki values per model; copy, prefix sums and kernel) the
-# class-major build took 0.47x the row build's time at C=10, 0.74x at 24,
-# 0.87x at 30, 0.98-1.01x at 32, 1.06-1.10x at 34 and 1.21x at 48 (2 vCPU
-# AVX-512 Xeon, numpy 2.4.6). It may not exceed 128: the class-major kernel's
-# _pairwise_sum replays numpy's order only for rows of at most 128 values.
-_CLASS_MAJOR_MAX_CLASSES = 32
+# Over 128 Ki-value chunks (N=7, an in-memory ensemble_size_sweep, median of 5)
+# the class-major pass took 0.51x the row pass's time at C=10, 0.74x at 20,
+# 0.77-0.88x at 24, 0.95-1.01x at 26, 0.94-1.05x at 28, 1.14-1.22x at 32 and
+# 1.47x at 48 (2 vCPU AVX-512 Xeon, numpy 2.4.6). It may not exceed 128: the
+# class-major kernel's _pairwise_sum replays numpy's order only up to there.
+_CLASS_MAJOR_MAX_CLASSES = 26
 
 
 def _pairwise_sum(rows: np.ndarray, out: np.ndarray, spare: list) -> np.ndarray:

@@ -35,12 +35,12 @@ it, then the label payload's, before allocating anything the manifest sizes.
 
 Both are chunk sources for cascade_engine.stage_tables: logit_chunks() yields
 (samples, logits[:, samples]) of all N models over consecutive chunks of
-about _CHUNK_VALUES values per model; a consumer that needs fewer models
-slices the block itself. An EnsembleDataset yields views of its tensor. A
-DatasetFiles handle reads each chunk from every logit payload, one contiguous
-byte range per payload since payloads are row-major by sample, into one
-reused float32 buffer. load_dataset reads each logit payload whole into its
-model's slice of the tensor, as open_dataset reads the labels.
+about _CHUNK_VALUES values in all, however large N is; a consumer that needs
+fewer models slices the block itself. An EnsembleDataset yields views of its
+tensor. A DatasetFiles handle reads each chunk from every logit payload, one
+contiguous byte range per payload since payloads are row-major by sample,
+into one reused float32 buffer. load_dataset reads each logit payload whole
+into its model's slice of the tensor, as open_dataset reads the labels.
 
 Every logit is checked by one pass over such chunks, _checked: a DatasetFiles
 handle runs it as logit_chunks reads, and an EnsembleDataset over its tensor
@@ -81,19 +81,19 @@ MANIFEST_NAME = "manifest.json"
 LOGIT_MAGIC = b"ENSL"
 LABEL_MAGIC = b"ENSY"
 
-# a chunk holds about this many values per model; stage_tables promotes a chunk
-# to float64, so its working set stays cache-sized whatever the number of samples
-_CHUNK_VALUES = 65536
+# a chunk holds about this many values over all models, 1 MiB once stage_tables
+# promotes it to float64, so its working set stays small whatever N and M are
+_CHUNK_VALUES = 131072
 
 # import_csv and cascade_engine.run_sample refuse a logit whose magnitude exceeds
 # this, since a float32 cast would not keep it finite
 _FLOAT32_MAX = float(np.finfo(np.float32).max)
 
 
-def _sample_chunks(num_samples: int, num_classes: int) -> list[slice]:
-    """Consecutive slices of samples holding about _CHUNK_VALUES values per model;
-    the first is the largest."""
-    step = max(1, _CHUNK_VALUES // num_classes)
+def _sample_chunks(num_models: int, num_samples: int, num_classes: int) -> list[slice]:
+    """Consecutive slices of samples holding about _CHUNK_VALUES values over all
+    models; the first is the largest."""
+    step = max(1, _CHUNK_VALUES // (num_models * num_classes))
     return [slice(start, min(start + step, num_samples)) for start in range(0, num_samples, step)]
 
 
@@ -240,7 +240,7 @@ class EnsembleDataset:
 
     def logit_chunks(self) -> Iterator[tuple[slice, np.ndarray]]:
         """Yield (samples, logits[:, samples]) over consecutive chunks of samples."""
-        for samples in _sample_chunks(self.num_samples, self.num_classes):
+        for samples in _sample_chunks(*self.logits.shape):
             yield samples, self.logits[:, samples]
 
 
@@ -497,7 +497,7 @@ class DatasetFiles:
         """Read every payload's byte range of each chunk of samples into one buffer."""
         shape = (self.num_samples, self.num_classes)
         size = struct.calcsize(_header_format(2)) + 4 * math.prod(shape)
-        chunks = _sample_chunks(*shape)
+        chunks = _sample_chunks(self.num_models, *shape)
         buffer = np.empty((self.num_models, chunks[0].stop, shape[1]), dtype="<f4")
         with ExitStack() as stack:
             payloads = [

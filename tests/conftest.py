@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from flexens.dataset_io import EnsembleDataset
+from flexens.dataset_io import _CHUNK_VALUES, EnsembleDataset, _sample_chunks
 from flexens.synthgen import SynthConfig, generate
 
 settings.register_profile(
@@ -16,6 +16,12 @@ settings.register_profile(
 settings.load_profile("deterministic")
 
 SEED42_CONFIG = SynthConfig(num_models=7, num_samples=10000, num_classes=10, seed=42)
+
+
+def chunk_step(num_models: int, num_classes: int) -> int:
+    """The samples in a full chunk of a logit_chunks pass at these dimensions;
+    a chunk never holds more than _CHUNK_VALUES samples."""
+    return _sample_chunks(num_models, _CHUNK_VALUES + 1, num_classes)[0].stop
 
 
 @pytest.fixture(scope="session")

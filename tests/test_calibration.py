@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import chunk_step
 from flexens import calibration, cascade_engine, metrics_report
 from flexens.calibration import (
     CalibrationObjective,
@@ -26,7 +27,6 @@ from flexens.cascade_engine import (
     stage_tables,
 )
 from flexens.dataset_io import (
-    _CHUNK_VALUES,
     MANIFEST_NAME,
     EnsembleDataset,
     open_dataset,
@@ -382,7 +382,7 @@ class TestBinnedSearch:
     @pytest.mark.parametrize("num_classes", [10, 33])
     def test_matches_sorted_sweep_over_ragged_chunks(self, tmp_path, num_classes):
         num_models = 4
-        num_samples = 2 * (_CHUNK_VALUES // num_classes) + 37  # a ragged last chunk
+        num_samples = 2 * chunk_step(num_models, num_classes) + 37  # a ragged last chunk
         for seed in (1, 2, 3):
             rng = np.random.default_rng([seed, num_classes])
             labels = rng.integers(0, num_classes, size=num_samples)

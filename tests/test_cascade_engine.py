@@ -6,6 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
+from conftest import chunk_step
 from flexens import cascade_engine
 from flexens.cascade_engine import (
     _CLASS_MAJOR_MAX_CLASSES,
@@ -20,7 +21,6 @@ from flexens.cascade_engine import (
     stage_tables,
 )
 from flexens.dataset_io import (
-    _CHUNK_VALUES,
     MANIFEST_NAME,
     EnsembleDataset,
     open_dataset,
@@ -461,7 +461,7 @@ class TestChunkedStageTables:
     def test_matches_whole_array_kernel_and_run_sample(
         self, tmp_path, num_models, num_classes, chunks
     ):
-        step = max(1, _CHUNK_VALUES // num_classes)
+        step = chunk_step(num_models, num_classes)
         num_samples = {
             "one_sample": 1,
             "one_chunk": step,
@@ -518,7 +518,7 @@ class TestChunkedStageTables:
         # _pairwise_sum replays numpy's rows of at most 128 values, so the
         # class-major kernel is checked, and may be dispatched, only up to there
         assert _CLASS_MAJOR_MAX_CLASSES <= 128
-        step = max(1, _CHUNK_VALUES // num_classes)
+        step = chunk_step(3, num_classes)
         for num_samples in (1, step // 3 + 1, step):
             rng = np.random.default_rng([num_classes, num_samples])
             logits = tied_logits(rng, 3, num_samples, num_classes)
@@ -601,13 +601,13 @@ class TestChunkedStageTables:
         finally:
             tracemalloc.stop()
         outputs = tables.margins.nbytes + tables.predictions.nbytes
-        assert peak < outputs + 4 * 2**20
+        assert peak < outputs + 3 * 2**20
 
     @pytest.mark.parametrize("source", ["dataset", "files"])
     def test_full_ensemble_predictions_keep_only_the_last_stage(self, tmp_path, source):
         # the (N, M) tables (7.2 MB here) exceed the bound; the last chunk is ragged
         num_models, num_samples, num_classes = 3, 150_000, 10
-        assert num_samples % (_CHUNK_VALUES // num_classes)
+        assert num_samples % chunk_step(num_models, num_classes)
         rng = np.random.default_rng(12)
         logits = rng.standard_normal((num_models, num_samples, num_classes), np.float32)
         labels = rng.integers(0, num_classes, num_samples)
@@ -621,7 +621,7 @@ class TestChunkedStageTables:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < predictions.nbytes + 4 * 2**20
-        assert 16 * num_models * num_samples > predictions.nbytes + 4 * 2**20
+        assert peak < predictions.nbytes + 3 * 2**20
+        assert 16 * num_models * num_samples > predictions.nbytes + 3 * 2**20
         assert predictions.dtype == np.int64 and not predictions.flags.writeable
         np.testing.assert_array_equal(predictions, stage_tables(ds).predictions[-1])

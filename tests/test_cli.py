@@ -336,9 +336,9 @@ def test_commands_hold_neither_the_tensor_nor_the_stage_tables(wide_data, comman
     if command[0] == "calibrate":
         # one-byte grid bins for stages 1..N-1, wrong flags for all N, the alive mask
         held += (2 * WIDE_MODELS - 1) * WIDE_SAMPLES + WIDE_SAMPLES
-    assert peak < held + 4 * 2**20
+    assert peak < held + 3 * 2**20
     tables = 16 * WIDE_MODELS * WIDE_SAMPLES  # float64 margins, int64 predictions
-    assert tables > held + 4 * 2**20
+    assert tables > held + 3 * 2**20
 
 
 def test_open_dataset_holds_the_labels_once(wide_data):

@@ -7,13 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import chunk_step
 from flexens import cascade_engine, dataset_io
 from flexens.calibration import save_schedule
 from flexens.cascade_engine import ThresholdSchedule, full_ensemble_predictions, stage_tables
 from flexens.cli import main
 from flexens.synthgen import SynthConfig, generate, save_generated
 from flexens.dataset_io import (
-    _CHUNK_VALUES,
     LABEL_MAGIC,
     LOGIT_MAGIC,
     MANIFEST_NAME,
@@ -220,7 +220,7 @@ class TestBinaryRoundTrip:
 
         checked = dataset_io._checked
         monkeypatch.setattr(dataset_io, "_checked", counting)
-        ds = dataset_factory(np.random.default_rng(4), num_samples=3 * _CHUNK_VALUES // 4 + 1)
+        ds = dataset_factory(np.random.default_rng(4), num_samples=3 * chunk_step(3, 4) + 1)
         save_dataset(ds, tmp_path)
         passes.clear()
         assert_datasets_equal(ds, load_dataset(tmp_path / MANIFEST_NAME))
@@ -570,7 +570,7 @@ class TestLoadErrors:
 
 # three chunks of samples and a ragged tail at C = 100
 STREAM_CLASSES = 100
-STREAM_STEP = _CHUNK_VALUES // STREAM_CLASSES
+STREAM_STEP = chunk_step(3, STREAM_CLASSES)
 STREAM_SAMPLES = 3 * STREAM_STEP + 100
 LAST_CHUNK = 3 * STREAM_STEP
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flexens.calibration import evaluate_objective, save_schedule
+from conftest import chunk_step
+from flexens.calibration import calibrate, evaluate_objective, save_schedule
 from flexens.cascade_engine import (
     ThresholdSchedule,
     run_dataset,
@@ -16,7 +18,6 @@ from flexens.cascade_engine import (
 )
 from flexens.cli import main
 from flexens.dataset_io import (
-    _CHUNK_VALUES,
     MANIFEST_NAME,
     EnsembleDataset,
     open_dataset,
@@ -290,7 +291,7 @@ class TestStreamedRoutes:
     def test_streamed_scores_equal_the_tabled_ones(self, tmp_path, num_classes):
         rng = np.random.default_rng(num_classes)
         num_models = 4
-        step = _CHUNK_VALUES // num_classes
+        step = chunk_step(num_models, num_classes)
         num_samples = 2 * step + 37  # two whole chunks and a ragged one
         logits = rng.normal(0.0, 2.0, size=(num_models, num_samples, num_classes))
         labels = rng.integers(0, num_classes, size=num_samples)
@@ -329,6 +330,47 @@ class TestStreamedRoutes:
                                        (histogram.wrong_counts, ~correct)]:
                     tally = np.histogram(margins[chosen], bins=histogram.bin_edges)[0]
                     assert counts.dtype == tally.dtype and counts.tolist() == tally.tolist()
+
+
+MANY_MODELS, MANY_SAMPLES, MANY_CLASSES = 32, 20_000, 10
+
+
+@pytest.fixture(scope="module")
+def many_models_manifest(tmp_path_factory):
+    """A saved dataset of MANY_MODELS models (26 MB of logits)."""
+    root = tmp_path_factory.mktemp("many_models")
+    rng = np.random.default_rng(32)
+    logits = rng.standard_normal((MANY_MODELS, MANY_SAMPLES, MANY_CLASSES), np.float32)
+    logits.setflags(write=False)  # adopted without a copy
+    labels = rng.integers(0, MANY_CLASSES, MANY_SAMPLES)
+    save_dataset(EnsembleDataset(logits, labels, rng.uniform(0.5, 3.0, MANY_MODELS)), root)
+    return root / MANIFEST_NAME
+
+
+@pytest.mark.parametrize(
+    "command", ["flexible_sweep", "ensemble_size_sweep", "margin_histogram", "calibrate"]
+)
+def test_working_set_does_not_grow_with_the_number_of_models(many_models_manifest, command):
+    # a chunk of 64 Ki values per model took 24 MiB of read and prefix buffers here
+    schedules = [("half", ThresholdSchedule.uniform(0.5, MANY_MODELS)),
+                 ("ones", ThresholdSchedule.uniform(1.0, MANY_MODELS))]
+    run = {
+        "flexible_sweep": lambda files: flexible_sweep(files, schedules),
+        "ensemble_size_sweep": ensemble_size_sweep,
+        "margin_histogram": lambda files: margin_histogram(files, MANY_MODELS),
+        "calibrate": calibrate,
+    }[command]
+    tracemalloc.start()
+    try:
+        run(open_dataset(many_models_manifest))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    held = 4 * MANY_SAMPLES  # the u32 labels, kept as read
+    if command == "calibrate":
+        # one-byte grid bins for stages 1..N-1, wrong flags for all N, the alive mask
+        held += (2 * MANY_MODELS - 1) * MANY_SAMPLES + MANY_SAMPLES
+    assert peak < held + 3 * 2**20
 
 
 class TestCsvOutput:
