@@ -105,11 +105,6 @@ def _open_data_dir(directory: str) -> dataset_io.DatasetFiles:
     return dataset_io.open_dataset(Path(directory) / MANIFEST_NAME)
 
 
-def _stderr_timing(label: str, started: float) -> None:
-    elapsed_ms = (time.perf_counter() - started) * 1000.0
-    print(f"{label}: {elapsed_ms:.1f} ms wall clock (informational)", file=sys.stderr)
-
-
 def _cmd_gen(args) -> int:
     config = synthgen.SynthConfig(
         num_models=args.models,
@@ -120,9 +115,7 @@ def _cmd_gen(args) -> int:
         noise_sigma=args.sigma,
         costs_ms=(args.cost_ms,) * args.models,
     )
-    started = time.perf_counter()
     synthgen.save_generated(config, args.out)
-    _stderr_timing("gen", started)
     print(
         f"wrote {args.out}: models={config.num_models} samples={config.num_samples} "
         f"classes={config.num_classes}"
@@ -142,9 +135,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_baseline(args) -> int:
     dataset = _open_data_dir(args.data)
-    started = time.perf_counter()
     rows = metrics_report.ensemble_size_sweep(dataset)
-    _stderr_timing("baseline", started)
     metrics_report.write_sweep_csv(args.out, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
     return 0
@@ -152,11 +143,9 @@ def _cmd_baseline(args) -> int:
 
 def _cmd_calibrate(args) -> int:
     dataset = _open_data_dir(args.data)
-    started = time.perf_counter()
     schedule = calibration.calibrate(
         dataset, alpha=args.alpha, grid=calibration.GridSpec(step=args.grid_step)
     )
-    _stderr_timing("calibrate", started)
     calibration.save_schedule(
         args.out,
         schedule,
@@ -177,11 +166,9 @@ def _cmd_run(args) -> int:
             "held-out split or pass --allow-same-split"
         )
     dataset = _open_data_dir(args.data)
-    started = time.perf_counter()
     rows = metrics_report.flexible_sweep(
         dataset, [(Path(args.schedule).stem, schedule_file.schedule)]
     )
-    _stderr_timing("run", started)
     metrics_report.write_sweep_csv(args.out, rows)
     row = rows[0]
     print(
@@ -219,14 +206,18 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:  # --help or a usage error; code already decided
         return int(exc.code or 0)
+    started = time.perf_counter()
     try:
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
+    elapsed_ms = (time.perf_counter() - started) * 1000.0
+    print(f"{args.command}: {elapsed_ms:.1f} ms wall clock (informational)", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

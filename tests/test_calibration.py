@@ -20,6 +20,7 @@ from flexens.calibration import (
     save_schedule,
 )
 from flexens.cascade_engine import (
+    _CLASS_MAJOR_MAX_CLASSES,
     ThresholdSchedule,
     _stop_levels,
     full_ensemble_predictions,
@@ -379,7 +380,10 @@ class TestBinnedSearch:
             for alpha in (0.0, 0.4, 1.0):
                 assert calibrate(ds, alpha, grid).thresholds == reference_calibrate(ds, alpha, grid)
 
-    @pytest.mark.parametrize("num_classes", [10, 33])
+    # the class counts on both sides of the stage kernel's layout switch are included
+    @pytest.mark.parametrize("num_classes", sorted(
+        {10, 33} | {_CLASS_MAJOR_MAX_CLASSES, _CLASS_MAJOR_MAX_CLASSES + 1}
+    ))
     def test_matches_sorted_sweep_over_ragged_chunks(self, tmp_path, num_classes):
         num_models = 4
         num_samples = 2 * chunk_step(num_models, num_classes) + 37  # a ragged last chunk

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -390,6 +391,66 @@ class TestHistogram:
         data = gen_dataset(tmp_path, "data")
         assert main(["histogram", "--data", str(data), "--ensemble-size", "9",
                      "--bins", "5", "--out", str(tmp_path / "h.csv")]) == 1
+
+
+@pytest.fixture(scope="module")
+def timed_inputs(tmp_path_factory):
+    root = tmp_path_factory.mktemp("timed")
+    train, evaluation = gen_dataset(root, "train", seed="7"), gen_dataset(root, "eval", seed="8")
+    schedule = root / "schedule.json"
+    assert main(["calibrate", "--data", str(train), "--grid-step", "0.25",
+                 "--out", str(schedule)]) == 0
+    return train, evaluation, schedule
+
+
+def timed_argv(command, tmp_path, train, evaluation, schedule):
+    out = str(tmp_path / "out")
+    return {
+        "gen": ["gen", *GEN_ARGS, "--out", out],
+        "validate": ["validate", "--data", str(evaluation)],
+        "baseline": ["baseline", "--data", str(evaluation), "--out", out],
+        "calibrate": ["calibrate", "--data", str(train), "--grid-step", "0.25", "--out", out],
+        "run": ["run", "--data", str(evaluation), "--schedule", str(schedule), "--out", out],
+        "histogram": ["histogram", "--data", str(evaluation), "--ensemble-size", "2",
+                      "--out", out],
+    }[command]
+
+
+class TestTiming:
+    """main times every command once, whole, and reports it on stderr only."""
+
+    @pytest.mark.parametrize(
+        "command", ["gen", "validate", "baseline", "calibrate", "run", "histogram"]
+    )
+    def test_every_command_writes_one_timing_line(self, tmp_path, capsys, timed_inputs, command):
+        capsys.readouterr()
+        assert main(timed_argv(command, tmp_path, *timed_inputs)) == 0
+        captured = capsys.readouterr()
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert re.fullmatch(rf"{command}: \d+\.\d ms wall clock \(informational\)", lines[0])
+        assert "wall clock" not in captured.out
+
+    @pytest.mark.parametrize("case", ["gen_invalid", "validate_missing", "histogram_bad_size",
+                                      "run_same_split"])
+    def test_a_failing_command_writes_no_timing_line(self, tmp_path, capsys, timed_inputs, case):
+        train, _, schedule = timed_inputs
+        out = str(tmp_path / "out")
+        argv = {
+            "gen_invalid": ["gen", "--models", "3", "--samples", "10", "--classes", "1",
+                            "--seed", "1", "--out", out],
+            "validate_missing": ["validate", "--data", str(tmp_path / "missing")],
+            "histogram_bad_size": ["histogram", "--data", str(train), "--ensemble-size", "9",
+                                   "--out", out],
+            "run_same_split": ["run", "--data", str(train), "--schedule", str(schedule),
+                               "--out", out],
+        }[case]
+        capsys.readouterr()
+        assert main(argv) in (1, 2)
+        captured = capsys.readouterr()
+        assert len(captured.err.splitlines()) == 1  # the error line alone
+        assert "wall clock" not in captured.err
+        assert captured.out == ""
 
 
 def test_module_entry_point_smoke():

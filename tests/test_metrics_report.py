@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from conftest import chunk_step
 from flexens.calibration import calibrate, evaluate_objective, save_schedule
 from flexens.cascade_engine import (
+    _CLASS_MAJOR_MAX_CLASSES,
     ThresholdSchedule,
     run_dataset,
     run_sample,
@@ -86,6 +87,14 @@ class TestReport:
         traces = run_dataset(ds, ThresholdSchedule.uniform(0.5, 3))
         with pytest.raises(ValueError, match="traces"):
             report(ds, traces[:-1])
+
+    def test_traces_not_from_run_dataset_rejected(self, dataset_factory):
+        # as many traces as samples, but a plain list of them, not the CascadeRun
+        ds = dataset_factory(np.random.default_rng(4))
+        traces = list(run_dataset(ds, ThresholdSchedule.uniform(0.5, 3)))
+        assert len(traces) == ds.num_samples
+        with pytest.raises(TypeError, match="CascadeRun"):
+            report(ds, traces)
 
     def test_matches_independent_recomputation(self, seed42_dataset):
         schedule = ThresholdSchedule((0.37, 0.2, 0.11, 0.11, 0.08, 0.08))
@@ -287,7 +296,10 @@ class TestStreamedRoutes:
     """flexible_sweep, ensemble_size_sweep and margin_histogram reduce the stage
     tables chunk by chunk; they give the tabled route's results field for field."""
 
-    @pytest.mark.parametrize("num_classes", [2, 10, 32, 33, 100])
+    # the class counts on both sides of the stage kernel's layout switch are included
+    @pytest.mark.parametrize("num_classes", sorted(
+        {2, 10, 32, 33, 100} | {_CLASS_MAJOR_MAX_CLASSES, _CLASS_MAJOR_MAX_CLASSES + 1}
+    ))
     def test_streamed_scores_equal_the_tabled_ones(self, tmp_path, num_classes):
         rng = np.random.default_rng(num_classes)
         num_models = 4
