@@ -327,7 +327,7 @@ def _write_dataset(
             logit_files.append(f"logits_{i:03d}.ensl")
             write(logit_files[-1], itertools.chain([header], chunks))
         label_file = "labels.ensy"
-        write(label_file, (_header(LABEL_MAGIC, labels.shape), labels.astype("<u4")))
+        write(label_file, (_header(LABEL_MAGIC, labels.shape), labels.astype("<u4", copy=False)))
         manifest = DatasetManifest(
             version=FORMAT_VERSION,
             num_models=len(logit_files),

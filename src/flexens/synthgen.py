@@ -40,14 +40,18 @@ at a time:
   lanes start by doubling (lanes [h, 2h) are lanes [0, h) jumped by A^(hT),
   and squaring A^(hT) gives A^(2hT)), and every lane moves on by A^(LT)
   between windows;
-- values: the first 2M words give the labels and each sample's signal; each
-  later window's normals, an even number, become float32 logits at once, in
-  chunks that never cross a model, as x *= sigma then x += base;
+- values: each window's words become uniform doubles in their own memory;
+  the first 2M give the labels and each sample's signal, and the normals
+  after them, an even number in each window, are made _BLOCK_VALUES at a
+  time: Box-Muller over the block's pairs, then float32 logits in chunks that
+  never cross a model, as x *= sigma then x += base;
 - math.log1p, math.cos and math.sin are called once per value, since numpy's
   SIMD versions may round differently.
 
-save_generated streams the chunks into the payload files, so gen holds the
-labels and signals, O(M), plus one window, never the (N, M, C) tensor.
+save_generated streams the chunks into the payload files, so gen holds 12
+bytes per sample ('<u4' labels, written as they are, and float64 signals),
+one window of the stream and a few blocks, never the (N, M, C) tensor:
+about 43 MB of RSS at N = 7, M = 1e6, C = 10.
 """
 
 from __future__ import annotations
@@ -56,7 +60,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Generator, Iterator
 
 import numpy as np
 
@@ -80,6 +84,9 @@ _TWO_PI = 2.0 * math.pi
 # a power of two, so every window, like every Box-Muller pair, starts on an even word
 _WINDOW_WORDS = 65536
 _MIN_LANES, _MAX_LANES = 64, 4096
+# uniforms, Box-Muller pairs and float32 logits are made this many values at a time;
+# even, so no pair is split
+_BLOCK_VALUES = 8192
 
 
 class Xoshiro256PlusPlus:
@@ -214,9 +221,13 @@ def _windows(seed: int, count: int) -> Iterator[np.ndarray]:
 
 
 def _uniforms(words: np.ndarray) -> np.ndarray:
-    """The uniform doubles of a window of words, whose words it overwrites."""
-    words >>= np.uint64(11)
-    return words * 2.0**-53
+    """The uniform doubles of a window of words, made in the words' own memory."""
+    values = words.view(np.float64)
+    for first in range(0, words.size, _BLOCK_VALUES):  # numpy copies an overlapping cast
+        block = words[first : first + _BLOCK_VALUES]
+        block >>= np.uint64(11)
+        np.multiply(block, 2.0**-53, out=values[first : first + _BLOCK_VALUES])
+    return values
 
 
 def _each(func, values: np.ndarray) -> np.ndarray:
@@ -268,47 +279,67 @@ class SynthConfig:
 def _draw(config: SynthConfig) -> tuple[np.ndarray, Iterator[tuple[int, int, np.ndarray]]]:
     """(labels, chunks) of the config's stream (see module docs).
 
-    The labels and each sample's signal come from the first 2M words, drawn
-    before this returns. `chunks` then draws the rest window by window and yields
-    (model, start, values): float32 logits of one model at flat (sample, class)
-    offsets start, start + 1, ..., in (model, sample, class) order, each checked
-    finite as EnsembleDataset checks them.
+    The '<u4' labels and each sample's signal come from the first 2M words,
+    drawn before this returns. `chunks` then draws the rest window by window and
+    yields (model, start, values): float32 logits of one model at flat (sample,
+    class) offsets start, start + 1, ..., in (model, sample, class) order, each
+    checked finite as EnsembleDataset checks them.
     """
     m, c = config.num_samples, config.num_classes
     values = config.num_models * m * c
-    uniforms = map(_uniforms, _windows(config.seed, 2 * m + values + values % 2))
-    labels = np.empty(m, dtype=np.int64)
+    windows = _windows(config.seed, 2 * m + values + values % 2)
+    labels = np.empty(m, dtype="<u4")
     signal = np.empty(m, dtype=np.float64)
     drawn = 0
     while drawn < 2 * m:
-        u = next(uniforms)
+        u = _uniforms(next(windows))
         head = min(u.size, 2 * m - drawn)
         split = min(max(m - drawn, 0), head)  # u[:split] holds labels, u[split:head] difficulties
         if split:
+            u[:split] *= c
+            rows = labels[drawn : drawn + split]
+            rows[:] = u[:split]  # truncated, as floor is for values >= 0
             # minimum() guards the theoretical case where u * c rounds up to c
-            labels[drawn : drawn + split] = np.minimum((u[:split] * c).astype(np.int64), c - 1)
+            np.minimum(rows, c - 1, out=rows)
         if head > split:
-            signal[drawn + split - m : drawn + head - m] = config.signal_scale * (1.0 - u[split:head])
+            rows = signal[drawn + split - m : drawn + head - m]
+            np.subtract(1.0, u[split:head], out=rows)
+            rows *= config.signal_scale
         drawn += head
-    return labels, _logit_chunks(config, labels, signal, itertools.chain([u[head:]], uniforms))
+        if drawn < 2 * m:
+            del u  # the one name viewing the window: freed before the next is drawn
+    return labels, _logit_chunks(config, labels, signal, u[head:], windows)
 
 
-def _logit_chunks(config, labels, signal, uniforms) -> Iterator[tuple[int, int, np.ndarray]]:
-    """The chunks of _draw, from the uniforms of the normals in windows of even size."""
+def _logit_chunks(config, labels, signal, first, windows) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The chunks of _draw, from `first`, the uniforms after the difficulties in
+    their window, then from each window left in `windows`."""
+    done = yield from _normal_chunks(config, labels, signal, first, 0)
+    del first
+    for words in windows:
+        done = yield from _normal_chunks(config, labels, signal, _uniforms(words), done)
+        del words  # freed before the next window is drawn
+
+
+def _normal_chunks(
+    config, labels, signal, normals, done
+) -> Generator[tuple[int, int, np.ndarray], None, int]:
+    """The chunks of one window's uniforms, an even number, which become normals
+    `done`, `done` + 1, ... of the stream; returns the count of normals done after them."""
     c, sigma = config.num_classes, config.noise_sigma
     per_model = config.num_samples * c
-    done = 0  # the normals yielded so far, over all models
-    for normals in uniforms:  # each (u1, u2) pair is overwritten by its two normals
+    for first in range(0, normals.size, _BLOCK_VALUES):
+        block = normals[first : first + _BLOCK_VALUES]  # each (u1, u2) pair becomes its two normals
         # 1 - u1 is in (0, 1], so the radius is finite
-        radius = np.sqrt(-2.0 * _each(math.log1p, -normals[0::2]))
-        angle = _TWO_PI * normals[1::2]
-        normals[0::2] = radius * _each(math.cos, angle)
-        normals[1::2] = radius * _each(math.sin, angle)
+        radius = np.sqrt(-2.0 * _each(math.log1p, -block[0::2]))
+        angle = _TWO_PI * block[1::2]
+        block[0::2] = radius * _each(math.cos, angle)
+        block[1::2] = radius * _each(math.sin, angle)
         # a pair may straddle two models; an odd count's last sine is discarded
-        while normals.size and done < config.num_models * per_model:
+        while block.size and done < config.num_models * per_model:
             model, start = divmod(done, per_model)
-            x = normals[: per_model - start]
-            normals = normals[x.size :]
+            x = block[: per_model - start]
+            block = block[x.size :]
             done += x.size
             x *= sigma
             x += _base(labels, signal, c, start, x.size)  # the same sums as base + sigma * noise
@@ -318,6 +349,7 @@ def _logit_chunks(config, labels, signal, uniforms) -> Iterator[tuple[int, int, 
             if bad is not None:
                 raise NonFiniteLogitError(model, *divmod(start + bad[0], c))
             yield model, start, chunk
+    return done
 
 
 def _base(labels, signal, num_classes, start, size) -> np.ndarray:

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -256,6 +257,59 @@ class TestStreamedGen:
         logits, _ = scalar_generate(2, 32, 3, 1)
         assert generate(config).logits.tobytes() == logits.tobytes()
         assert self.gen(tmp_path, 2, 32, 3, 1) == self.saved(tmp_path, config)
+
+    @pytest.mark.parametrize(
+        "n,m,offset",
+        [
+            (3, 20, 4),  # model 0 ends inside a block
+            (3, 19, 7),  # a pair straddling two models ends a block
+            (3, 21, 1),  # a pair straddling two models starts a block
+            (2, 32, 0),  # 2M = 64 words: the first window holds no normals
+        ],
+    )
+    def test_block_edges(self, tmp_path, monkeypatch, n, m, offset):
+        # windows of 64 words, Box-Muller and the float32 cast over blocks of 8 values;
+        # model 1's first normal, word 2M + M*C, is `offset` values into its block
+        monkeypatch.setattr(synthgen, "_WINDOW_WORDS", 64)
+        monkeypatch.setattr(synthgen, "_BLOCK_VALUES", 8)
+        c, seed = 3, 6
+        word = 2 * m + m * c
+        first_normal = 2 * m if word // 64 == 2 * m // 64 else word // 64 * 64  # of its window
+        assert (word - first_normal) % 8 == offset
+        config = SynthConfig(n, m, c, seed)
+        logits, labels = scalar_generate(n, m, c, seed)
+        generated = generate(config)
+        assert generated.labels.dtype == np.int64
+        assert generated.logits.tobytes() == logits.tobytes()
+        np.testing.assert_array_equal(generated.labels, labels)
+        assert self.gen(tmp_path, n, m, c, seed) == self.saved(tmp_path, config)
+
+    @pytest.mark.parametrize("m", [100, 32])  # labels over four windows; over exactly one
+    def test_each_window_is_freed_before_the_next_is_drawn(self, tmp_path, monkeypatch, m):
+        monkeypatch.setattr(synthgen, "_WINDOW_WORDS", 64)
+        drawn = []  # weak references to the memory of each window, as words and as uniforms
+        window, uniforms = synthgen._window, synthgen._uniforms
+
+        def memory(array):
+            return weakref.ref(array if array.base is None else array.base)
+
+        def checked_window(starts, steps):
+            assert all(ref() is None for ref in drawn)
+            words = window(starts, steps)
+            drawn.append(memory(words))
+            return words
+
+        def tracked_uniforms(words):
+            values = uniforms(words)
+            drawn.append(memory(values))
+            return values
+
+        monkeypatch.setattr(synthgen, "_window", checked_window)
+        monkeypatch.setattr(synthgen, "_uniforms", tracked_uniforms)
+        config = SynthConfig(2, m, 3, 1)
+        save_generated(config, tmp_path / "gen")
+        generate(config)
+        assert len(drawn) == 2 * 2 * -(-(2 * m + 6 * m) // 64)  # two calls, two arrays a window
 
     def test_logits_beyond_float32_are_refused(self, tmp_path, capsys):
         # the float32 cast overflows with no RuntimeWarning; the finite check reports it
