@@ -16,19 +16,20 @@ the measurement. A sample still alive at stage k thus either exits there
 (margin >= tau) or runs all N models.
 
 The search needs no margin itself, only where it falls among the grid's stop
-levels. One pass over cascade_engine._stage_chunks stores, per sample, its
-bin at each of stages 1..N-1 (the number of stop levels at or below its
-margin, one byte up to 255 candidates) and whether each of the N stage
-predictions is wrong: 2N-1 bytes, not the 16 per stage of the stage tables.
-A sample stays at candidate i iff its bin is at most i, so one bincount of
-bin*4 + wrong_k*2 + wrong_N over the alive samples, and its cumulative sums,
-give every candidate's exit count and wrong count, the same integers a
-sorted sweep over the margins gives; metrics_report.score_counts turns them
-into R and E by the same arithmetic as every report. Bins come from
-floor(margin * G) and two comparisons with the stop levels, not from a
-binary search. With N models, M samples and G candidates the search costs
-O(N*M + N*G) time (O(N*M log G) were the bins searchsorted) and (2N-1)*M
-bytes beside one chunk of working memory.
+levels. One pass over cascade_engine._stage_chunks stores, per sample, one
+code at each of stages 1..N-1, bin*2 + wrong_k, where the bin is the number
+of stop levels at or below its margin and wrong_k whether the stage's
+prediction is wrong (one byte up to 128 candidates), and whether the full
+ensemble's prediction is wrong: N bytes, not the 16 per stage of the stage
+tables. A sample stays at candidate i iff its bin is at most i, that is its
+code at most 2i + 1, so one bincount of code*2 + wrong_N over the alive
+samples, and its cumulative sums, give every candidate's exit count and
+wrong count, the same integers a sorted sweep over the margins gives;
+metrics_report.score_counts turns them into R and E by the same arithmetic
+as every report. Bins come from floor(margin * G) and two comparisons with
+the stop levels, not from a binary search. With N models, M samples and G
+candidates the search costs O(N*M + N*G) time (O(N*M log G) were the bins
+searchsorted) and N*M bytes beside one chunk of working memory.
 
 Ties are broken toward the lower threshold, which prefers latency when the
 objective is flat. The search is a pure function of (dataset, alpha, step).
@@ -141,16 +142,21 @@ def calibrate(
 
     candidates = grid.values()
     stop_levels = _stop_levels(candidates)
-    bins = np.empty((num_models - 1, num_samples), dtype=np.min_scalar_type(len(candidates)))
-    wrong = np.empty((num_models, num_samples), dtype=bool)
+    # bin*2 + wrong_k for each sample at stages 1..N-1, and wrong_N
+    codes = np.empty((num_models - 1, num_samples), np.min_scalar_type(2 * len(candidates) - 1))
+    full_wrong = np.empty(num_samples, dtype=bool)
     for samples, margins, predictions in _stage_chunks(dataset, num_models):
+        labels = dataset.labels[samples]
         for stage in range(num_models - 1):  # one stage at a time keeps the temporaries small
-            _grid_bins(margins[stage], stop_levels, bins[stage, samples])
-        np.not_equal(predictions, dataset.labels[samples], out=wrong[:, samples])
+            code = codes[stage, samples]
+            _grid_bins(margins[stage], stop_levels, code)
+            code <<= 1
+            code += predictions[stage] != labels
+        np.not_equal(predictions[-1], labels, out=full_wrong[samples])
         # freed before the next chunk's kernel runs, which would otherwise raise the peak
         del margins, predictions
     cum_costs = _cumulative_costs(dataset.costs_ms, num_samples)
-    full_wrong_count = np.count_nonzero(wrong[-1])
+    full_wrong_count = np.count_nonzero(full_wrong)
 
     alive = np.ones(num_samples, dtype=bool)  # samples no chosen threshold has stopped
     done_counts = np.zeros(num_models, dtype=np.int64)  # exits at the chosen stages
@@ -161,11 +167,9 @@ def calibrate(
         for start in range(0, num_samples, _SEARCH_WINDOW):
             window = slice(start, start + _SEARCH_WINDOW)
             keep = alive[window]
-            key = bins[stage, window][keep].astype(np.intp)  # bin*4 + wrong_k*2 + wrong_N
+            key = codes[stage, window][keep].astype(np.intp)  # bin*4 + wrong_k*2 + wrong_N
             key <<= 1
-            key += wrong[stage, window][keep]
-            key <<= 1
-            key += wrong[-1, window][keep]
+            key += full_wrong[window][keep]
             tally += np.bincount(key, minlength=tally.size)
         tally = tally.reshape(len(candidates), 2, 2)  # (bin, wrong at stage k, wrong at N)
         # samples with bin <= i run all N models under candidate i, the rest stop here
@@ -190,7 +194,7 @@ def calibrate(
 
         done_counts[stage] += alive_count - stays[best]
         done_wrong += exit_wrong_total - stay_exit_wrong[best]
-        alive &= bins[stage] <= best
+        alive &= codes[stage] <= 2 * best + 1  # bin <= best
     return ThresholdSchedule(tuple(chosen))
 
 

@@ -13,16 +13,18 @@ the threshold schedule, one pass over the stages serves any number of
 schedules, each a cheap vectorized scan. One generator, _stage_chunks,
 computes them from a chunk source: an in-memory EnsembleDataset, or a
 DatasetFiles handle that reads the payload files, checking them as it goes
-(see dataset_io). It takes a chunk of samples (about 128 Ki values over all
-models) at a time from either and yields that chunk's margins and predictions,
-so it needs O(chunk) working memory whatever N and M are. stage_tables
-stores what it yields as the schedule-independent (N, M) "stage tables",
-built anew on every call and kept by nothing but the caller. metrics_report's
-sweeps and histogram instead reduce each chunk to counts as it comes, and
-calibration.calibrate to grid bins and wrong flags, so the CLI's run,
-baseline, histogram and calibrate hold neither the (N, M, C) tensor nor the
-(N, M) tables. Stage k depends only on models 1..k, so a pass over the first
-k models gives the first k stages of the full one.
+(see dataset_io). It takes one model's rows of a chunk of samples (about
+128 Ki values over all models) at a time from either, adds them into the
+chunk's float64 running sums, and once the chunk's last model is in yields
+its margins and predictions, so it needs O(chunk) working memory whatever N
+and M are. stage_tables stores what it yields as the schedule-independent
+(N, M) "stage tables", built anew on every call and kept by nothing but the
+caller. metrics_report's sweeps and histogram instead reduce each chunk to
+counts as it comes, and calibration.calibrate to one code of grid bin and
+wrong flag per stage, so the CLI's run, baseline, histogram and calibrate
+hold neither the (N, M, C) tensor nor the (N, M) tables. Stage k depends
+only on models 1..k, so a pass over the first k models gives the first k
+stages of the full one.
 
 Two kernels compute the same bytes from a chunk's running logit sums. The
 definition is the softmax of the running mean, then its top two: divide the
@@ -300,29 +302,32 @@ def _stage_chunks(
     """Yield (samples, margins, predictions) of the first num_models stages, a
     chunk of samples at a time, margins and predictions (num_models, n).
 
-    Only the samples below stop (default all) are yielded, and the kernel runs
-    only on the chunks that hold them, but every chunk is still read, so a
-    DatasetFiles pass checks all of them; it raises at its end, once the
-    consumer has taken every chunk.
+    Each model's rows are added into the running sums as they are read, and
+    the kernel runs once the last of the first num_models models is in. Only
+    the samples below stop (default all) are yielded, and the kernel runs only
+    on the chunks that hold them, but every model's rows of every chunk are
+    still read, so a DatasetFiles pass checks all of them; it raises at its
+    end, once the consumer has taken every chunk.
     """
     stop = source.num_samples if stop is None else min(stop, source.num_samples)
     class_major = source.num_classes <= _CLASS_MAJOR_MAX_CLASSES
     kernel = _class_major_stage_stats if class_major else _prefix_stage_stats
     buffer = None
-    for samples, block in source.logit_chunks():
-        if samples.start >= stop:
+    for samples, model, rows in source.logit_chunks():
+        if samples.start >= stop or model >= num_models:
             continue
         samples = slice(samples.start, min(samples.stop, stop))
-        block = block[:num_models, : samples.stop - samples.start]
-        logits = block.transpose(0, 2, 1) if class_major else block
+        rows = rows[: samples.stop - samples.start]
+        logits = rows.T if class_major else rows
         if buffer is None:  # the first chunk is the largest
-            buffer = np.empty(logits.size, dtype=np.float64)
-        prefix = buffer[: logits.size].reshape(logits.shape)
-        np.copyto(prefix, logits)
+            buffer = np.empty(num_models * logits.size, dtype=np.float64)
+        prefix = buffer[: num_models * logits.size].reshape(num_models, *logits.shape)
+        np.copyto(prefix[model], logits)
         # the same sequential order as np.cumsum(axis=0), several times faster here
-        for k in range(1, num_models):
-            prefix[k] += prefix[k - 1]
-        yield samples, *kernel(prefix)
+        if model:
+            prefix[model] += prefix[model - 1]
+        if model == num_models - 1:
+            yield samples, *kernel(prefix)
 
 
 def stage_tables(source: EnsembleDataset | DatasetFiles) -> StageTables:

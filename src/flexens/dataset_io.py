@@ -34,20 +34,22 @@ checks the manifest, then every logit payload's header and file size against
 it, then the label payload's, before allocating anything the manifest sizes.
 
 Both are chunk sources for cascade_engine.stage_tables: logit_chunks() yields
-(samples, logits[:, samples]) of all N models over consecutive chunks of
-about _CHUNK_VALUES values in all, however large N is; a consumer that needs
-fewer models slices the block itself. An EnsembleDataset yields views of its
-tensor. A DatasetFiles handle reads each chunk from every logit payload, one
-contiguous byte range per payload since payloads are row-major by sample,
-into one reused float32 buffer. load_dataset reads each logit payload whole
-into its model's slice of the tensor, as open_dataset reads the labels.
+(samples, model, logits[model, samples]) over consecutive chunks of about
+_CHUNK_VALUES values over all N models, however large N is, one model's
+(n, C) rows at a time, models 0..N-1 of each chunk in turn; a consumer that
+needs fewer models skips the rest. An EnsembleDataset yields views of its
+tensor. A DatasetFiles handle reads each model's rows of a chunk, one
+contiguous byte range of its payload since payloads are row-major by sample,
+into one reused (n, C) float32 buffer, 1/N of a chunk. load_dataset reads
+each logit payload whole into its model's slice of the tensor, as
+open_dataset reads the labels.
 
-Every logit is checked by one pass over such chunks, _checked: a DatasetFiles
+Every logit is checked by one pass over such rows, _checked: a DatasetFiles
 handle runs it as logit_chunks reads, and an EnsembleDataset over its tensor
 on construction, which is the one check of load_dataset's tensor. It reports
 the first non-finite logit in (model, sample, class) order, then the first
 label outside [0, C), then the first cost that is not finite and positive, in
-working memory of about one chunk.
+working memory of about one model's rows of a chunk.
 """
 
 from __future__ import annotations
@@ -99,29 +101,30 @@ def _sample_chunks(num_models: int, num_samples: int, num_classes: int) -> list[
 
 def _checked(
     chunks, labels: np.ndarray, num_classes: int, costs: np.ndarray
-) -> Iterator[tuple[slice, np.ndarray]]:
-    """Pass on the (samples, logits) chunks of a pass, checking every logit finite,
-    then every label in [0, num_classes), then every cost finite and positive.
+) -> Iterator[tuple[slice, int, np.ndarray]]:
+    """Pass on the (samples, model, logits) rows of a pass, checking every logit
+    finite, then every label in [0, num_classes), then every cost finite and
+    positive.
 
-    Once a chunk holds a non-finite value no more chunks are passed on, and the
-    pass raises at its end for the first one in (model, sample, class) order.
+    Once a model's rows hold a non-finite value no more rows are passed on, and
+    the pass raises at its end for the first one in (model, sample, class) order.
     """
     first_bad = None
-    for samples, block in chunks:
-        at = _nonfinite_at(block)
+    for samples, model, rows in chunks:
+        at = _nonfinite_at(rows)
         if at is not None:
-            model, sample, column = at
+            sample, column = at
             # a later chunk may hold a bad value of an earlier model
             bad = (model, samples.start + sample, column)
             first_bad = bad if first_bad is None else min(first_bad, bad)
         if first_bad is None:
-            yield samples, block
+            yield samples, model, rows
     if first_bad is not None:
         raise NonFiniteLogitError(*first_bad)
 
-    out_of_range = (labels < 0) | (labels >= num_classes)
-    if out_of_range.any():
-        sample = int(np.argmax(out_of_range))
+    # min and max allocate nothing; only a bad label needs the masks that find it
+    if labels.min() < 0 or labels.max() >= num_classes:
+        sample = int(np.argmax((labels < 0) | (labels >= num_classes)))
         raise LabelOutOfRangeError(sample, int(labels[sample]), num_classes)
 
     _cumulative_costs(costs, labels.size)  # raises for the first bad cost
@@ -129,8 +132,9 @@ def _checked(
 
 def _nonfinite_at(block: np.ndarray) -> tuple[int, ...] | None:
     """The index of the first non-finite value of `block`, or None if there is none."""
-    # min and max propagate NaN and reach any inf, so valid logits need no mask
-    if np.isfinite(block.min()) and np.isfinite(block.max()):
+    # min and max propagate NaN and reach any inf, so valid logits need no mask;
+    # math.isfinite takes their scalars for a fraction of a ufunc call's cost
+    if math.isfinite(block.min()) and math.isfinite(block.max()):
         return None
     return tuple(int(i) for i in np.unravel_index(np.argmin(np.isfinite(block)), block.shape))
 
@@ -238,10 +242,12 @@ class EnsembleDataset:
     def num_classes(self) -> int:
         return self.logits.shape[2]
 
-    def logit_chunks(self) -> Iterator[tuple[slice, np.ndarray]]:
-        """Yield (samples, logits[:, samples]) over consecutive chunks of samples."""
+    def logit_chunks(self) -> Iterator[tuple[slice, int, np.ndarray]]:
+        """Yield (samples, model, logits[model, samples]) over consecutive chunks
+        of samples, every model of a chunk in turn."""
         for samples in _sample_chunks(*self.logits.shape):
-            yield samples, self.logits[:, samples]
+            for model, rows in enumerate(self.logits[:, samples]):
+                yield samples, model, rows
 
 
 @dataclass(frozen=True)
@@ -488,27 +494,29 @@ class DatasetFiles:
     labels: np.ndarray  # (num_samples,) u32 as stored, frozen
     costs_ms: np.ndarray  # (num_models,) float64, frozen
 
-    def logit_chunks(self) -> Iterator[tuple[slice, np.ndarray]]:
-        """Yield (samples, logits[:, samples]) over consecutive chunks of samples,
-        read from the payloads into one reused float32 buffer and checked."""
+    def logit_chunks(self) -> Iterator[tuple[slice, int, np.ndarray]]:
+        """Yield (samples, model, logits[model, samples]) over consecutive chunks
+        of samples, every model of a chunk in turn, read from the payloads into
+        one reused float32 buffer and checked."""
         return _checked(self._read_chunks(), self.labels, self.num_classes, self.costs_ms)
 
-    def _read_chunks(self) -> Iterator[tuple[slice, np.ndarray]]:
-        """Read every payload's byte range of each chunk of samples into one buffer."""
+    def _read_chunks(self) -> Iterator[tuple[slice, int, np.ndarray]]:
+        """Read each payload's byte range of each chunk of samples into one
+        buffer of one model's rows."""
         shape = (self.num_samples, self.num_classes)
         size = struct.calcsize(_header_format(2)) + 4 * math.prod(shape)
         chunks = _sample_chunks(self.num_models, *shape)
-        buffer = np.empty((self.num_models, chunks[0].stop, shape[1]), dtype="<f4")
+        buffer = np.empty((chunks[0].stop, shape[1]), dtype="<f4")
         with ExitStack() as stack:
             payloads = [
                 stack.enter_context(_open_payload(path, LOGIT_MAGIC, shape))
                 for path in self.logit_paths
             ]
             for samples in chunks:
-                block = buffer[:, : samples.stop - samples.start]
-                for path, payload, out in zip(self.logit_paths, payloads, block):
-                    _fill(payload, path, out, size)
-                yield samples, block
+                rows = buffer[: samples.stop - samples.start]
+                for model, (path, payload) in enumerate(zip(self.logit_paths, payloads)):
+                    _fill(payload, path, rows, size)
+                    yield samples, model, rows
 
     def check(self) -> None:
         """Run the checking pass alone: read every logit, build nothing."""

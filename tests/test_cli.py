@@ -333,13 +333,16 @@ def test_commands_hold_neither_the_tensor_nor_the_stage_tables(wide_data, comman
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    held = 4 * WIDE_SAMPLES  # the u32 labels, kept as read
+    held, slack = 4 * WIDE_SAMPLES, 3 * 2**20  # the u32 labels, kept as read
     if command[0] == "calibrate":
-        # one-byte grid bins for stages 1..N-1, wrong flags for all N, the alive mask
-        held += (2 * WIDE_MODELS - 1) * WIDE_SAMPLES + WIDE_SAMPLES
-    assert peak < held + 3 * 2**20
+        # a one-byte code (grid bin and wrong flag) for stages 1..N-1, the stage-N
+        # wrong flags and the alive mask; the pass's buffers and the search's
+        # windows peak about 1.5 MiB beside them
+        held += WIDE_MODELS * WIDE_SAMPLES + WIDE_SAMPLES
+        slack = 7 * 2**18
+    assert peak < held + slack
     tables = 16 * WIDE_MODELS * WIDE_SAMPLES  # float64 margins, int64 predictions
-    assert tables > held + 3 * 2**20
+    assert tables > held + slack
 
 
 def test_open_dataset_holds_the_labels_once(wide_data):

@@ -700,23 +700,64 @@ class TestStreamedChecks:
     def test_both_sources_yield_every_model_of_the_same_chunks(self, tmp_path, dataset_factory):
         manifest = _streamed_dir(tmp_path, dataset_factory)
         chunks = open_dataset(manifest).logit_chunks()
-        streamed = [(samples, block.copy()) for samples, block in chunks]  # the buffer is reused
+        # the buffer is reused
+        streamed = [(samples, model, rows.copy()) for samples, model, rows in chunks]
         in_memory = list(load_dataset(manifest).logit_chunks())
-        assert [samples for samples, _ in streamed] == [samples for samples, _ in in_memory]
-        for (_, a), (_, b) in zip(streamed, in_memory):
-            assert a.shape[0] == 3
+        assert [(s, m) for s, m, _ in streamed] == [(s, m) for s, m, _ in in_memory]
+        assert [model for _, model, _ in streamed] == [0, 1, 2] * (len(streamed) // 3)
+        starts = [samples.start for samples, _, _ in streamed[::3]]
+        assert starts == list(range(0, STREAM_SAMPLES, STREAM_STEP))
+        for (samples, _, a), (_, _, b) in zip(streamed, in_memory):
+            assert a.shape == (samples.stop - samples.start, STREAM_CLASSES)
             assert a.tobytes() == b.tobytes()
 
     def test_payload_shrinking_mid_pass(self, tmp_path, dataset_factory):
         manifest = _streamed_dir(tmp_path, dataset_factory)
         chunks = open_dataset(manifest).logit_chunks()
-        next(chunks)  # every payload is open and its first chunk read
+        next(chunks)  # every payload is open and model 0's first rows read
         path = tmp_path / "logits_001.ensl"
         size = path.stat().st_size
         path.write_bytes(path.read_bytes()[:-8])
         message = f"logits_001.ensl: payload is {size - 8} bytes, expected {size}"
         with pytest.raises(DimensionMismatchError, match=message):
             list(chunks)
+
+    # at N=7 the whole chunk takes 7 times one model's rows; at N=2, C=2 those
+    # rows take 8 bytes a sample of a chunk, less than three M-byte label masks
+    @pytest.mark.parametrize("num_models, num_classes", [(7, 10), (2, 2)])
+    def test_check_holds_one_models_rows_of_a_chunk(self, tmp_path, num_models, num_classes):
+        step = chunk_step(num_models, num_classes)
+        num_samples = 3 * step + 5
+        logits = np.random.default_rng(6).normal(
+            size=(num_models, num_samples, num_classes)
+        ).astype(np.float32)
+        labels = np.zeros(num_samples, np.int64)
+        save_dataset(EnsembleDataset(logits, labels, np.ones(num_models)), tmp_path)
+        files = open_dataset(tmp_path / MANIFEST_NAME)
+        tracemalloc.start()
+        try:
+            files.check()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        rows = 4 * step * num_classes  # one model's float32 rows of a full chunk
+        assert peak < rows + 2**16  # beside the open payloads
+
+    def test_first_bad_model_wins_over_an_earlier_chunk(
+        self, tmp_path, capsys, dataset_factory
+    ):
+        # model 0's rows of the first chunk pass on before model 2's NaN is read,
+        # and model 0's NaN is read chunks later; the pass still names model 0
+        bad = [(2, 5, 7, float("nan")), (0, LAST_CHUNK + 3, 1, float("nan"))]
+        _streamed_dir(tmp_path, dataset_factory, logits=bad)
+        capsys.readouterr()
+        code = main(["histogram", "--data", str(tmp_path), "--ensemble-size", "1",
+                     "--out", str(tmp_path / "hist.csv")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"error: non-finite logit at model=0, sample={LAST_CHUNK + 3}, class=1\n"
+        )
+        assert not (tmp_path / "hist.csv").exists()
 
 
 @pytest.mark.parametrize(
