@@ -16,14 +16,17 @@ the measurement. A sample still alive at stage k thus either exits there
 (margin >= tau) or runs all N models.
 
 The search needs no margin itself, only where it falls among the grid's stop
-levels. One pass over cascade_engine._stage_chunks stores, per sample, one
-code at each of stages 1..N-1, bin*2 + wrong_k, where the bin is the number
-of stop levels at or below its margin and wrong_k whether the stage's
-prediction is wrong (one byte up to 128 candidates), and whether the full
-ensemble's prediction is wrong: N bytes, not the 16 per stage of the stage
-tables. A sample stays at candidate i iff its bin is at most i, that is its
-code at most 2i + 1, so one bincount of code*2 + wrong_N over the alive
-samples, and its cumulative sums, give every candidate's exit count and
+levels. calibrate is a bin pass, _stage_codes, and a search, _search. The
+pass goes once over cascade_engine._stage_chunks and fills one (N, M) code
+table: row k-1 holds each sample's code at stage k < N, bin*2 + wrong_k,
+where the bin is the number of stop levels at or below its margin and
+wrong_k whether the stage's prediction is wrong, and row N-1 holds wrong_N,
+whether the full ensemble's prediction is wrong. That is N bytes a sample
+up to 128 candidates, not the 16 per stage of the stage tables. The search
+is a pure function of the table, the candidate count, the cumulative costs
+and alpha. A sample stays at candidate i iff its bin is at most i, that is
+its code at most 2i + 1, so one bincount of code*2 + wrong_N over the alive
+samples and one cumulative sum of it give every candidate's exit count and
 wrong count, the same integers a sorted sweep over the margins gives;
 metrics_report.score_counts turns them into R and E by the same arithmetic
 as every report. Bins come from floor(margin * G) and two comparisons with
@@ -49,6 +52,7 @@ from .dataset_io import (
     EnsembleDataset,
     _cumulative_costs,
     _is_json_number,
+    _json_object,
     write_atomic,
 )
 from .errors import MalformedScheduleError
@@ -128,23 +132,13 @@ def _grid_bins(margins: np.ndarray, stop_levels: np.ndarray, out: np.ndarray) ->
     out += stop_levels[1:].take(lower) <= margins
 
 
-def calibrate(
-    dataset: EnsembleDataset | DatasetFiles,
-    alpha: float = DEFAULT_ALPHA,
-    grid: GridSpec = GridSpec(),
-) -> ThresholdSchedule:
-    """Choose stop thresholds by greedy per-stage grid search over the samples'
-    grid bins, one tally per stage (see module docs)."""
-    _check_alpha(alpha)
-    num_models, num_samples = dataset.num_models, dataset.num_samples
-    if num_models < 2:
-        raise ValueError("calibration needs at least 2 models")
-
-    candidates = grid.values()
+def _stage_codes(dataset: EnsembleDataset | DatasetFiles, candidates) -> np.ndarray:
+    """The search's (N, M) code table, from one pass over the stages: bin*2 +
+    wrong_k at stages 1..N-1 in rows 0..N-2, the full ensemble's wrong flag in
+    row N-1 (see module docs)."""
+    num_models = dataset.num_models
     stop_levels = _stop_levels(candidates)
-    # bin*2 + wrong_k for each sample at stages 1..N-1, and wrong_N
-    codes = np.empty((num_models - 1, num_samples), np.min_scalar_type(2 * len(candidates) - 1))
-    full_wrong = np.empty(num_samples, dtype=bool)
+    codes = np.empty((num_models, dataset.num_samples), np.min_scalar_type(2 * len(candidates) - 1))
     for samples, margins, predictions in _stage_chunks(dataset, num_models):
         labels = dataset.labels[samples]
         for stage in range(num_models - 1):  # one stage at a time keeps the temporaries small
@@ -152,50 +146,63 @@ def calibrate(
             _grid_bins(margins[stage], stop_levels, code)
             code <<= 1
             code += predictions[stage] != labels
-        np.not_equal(predictions[-1], labels, out=full_wrong[samples])
+        np.not_equal(predictions[-1], labels, out=codes[-1, samples])
         # freed before the next chunk's kernel runs, which would otherwise raise the peak
         del margins, predictions
-    cum_costs = _cumulative_costs(dataset.costs_ms, num_samples)
-    full_wrong_count = np.count_nonzero(full_wrong)
+    return codes
 
+
+def _search(codes: np.ndarray, num_candidates: int, cum_costs, alpha: float) -> list[int]:
+    """The greedy per-stage search over a _stage_codes table: the index of the
+    candidate chosen at each of stages 1..N-1."""
+    num_models, num_samples = codes.shape
+    full_wrong_count = np.count_nonzero(codes[-1])
     alive = np.ones(num_samples, dtype=bool)  # samples no chosen threshold has stopped
     done_counts = np.zeros(num_models, dtype=np.int64)  # exits at the chosen stages
     done_wrong = 0
-    chosen: list[float] = []
+    chosen = []
     for stage in range(num_models - 1):
-        tally = np.zeros(4 * len(candidates), dtype=np.int64)
+        tally = np.zeros(4 * num_candidates, dtype=np.int64)
         for start in range(0, num_samples, _SEARCH_WINDOW):
             window = slice(start, start + _SEARCH_WINDOW)
             keep = alive[window]
             key = codes[stage, window][keep].astype(np.intp)  # bin*4 + wrong_k*2 + wrong_N
             key <<= 1
-            key += full_wrong[window][keep]
+            key += codes[-1, window][keep]
             tally += np.bincount(key, minlength=tally.size)
-        tally = tally.reshape(len(candidates), 2, 2)  # (bin, wrong at stage k, wrong at N)
-        # samples with bin <= i run all N models under candidate i, the rest stop here
-        stays = np.cumsum(tally.sum(axis=(1, 2))).tolist()
-        alive_count = stays[-1]  # no bin exceeds the last candidate
-        stay_exit_wrong = np.cumsum(tally[:, 1].sum(axis=1)).tolist()
-        stay_full_wrong = np.cumsum(tally[:, :, 1].sum(axis=1)).tolist()
-        exit_wrong_total = stay_exit_wrong[-1]
-
-        best_value, best = np.inf, 0
-        for i, stay in enumerate(stays):
-            counts = done_counts.copy()
-            counts[stage] += alive_count - stay
-            counts[-1] += stay
-            wrong_count = done_wrong + exit_wrong_total - stay_exit_wrong[i] + stay_full_wrong[i]
-            rep = score_counts(num_samples, cum_costs, full_wrong_count, counts, wrong_count)
-            value = _objective(alpha, rep).value
-            # strict < keeps the earliest (lowest) candidate on plateaus
-            if value < best_value:
-                best_value, best = value, i
-        chosen.append(candidates[best])
-
-        done_counts[stage] += alive_count - stays[best]
-        done_wrong += exit_wrong_total - stay_exit_wrong[best]
+        # under candidate i the samples with bin <= i run all N models, the rest stop here
+        stay = np.cumsum(tally.reshape(num_candidates, 2, 2), axis=0)  # (i, wrong_k, wrong_N)
+        leave = stay[-1] - stay  # no bin exceeds the last candidate
+        counts = np.tile(done_counts, (num_candidates, 1))  # exits per stage, per candidate
+        counts[:, stage] += leave.sum(axis=(1, 2))
+        counts[:, -1] = stay.sum(axis=(1, 2))
+        wrong = done_wrong + leave[:, 1].sum(axis=1) + stay[:, :, 1].sum(axis=1)
+        values = [
+            _objective(alpha, score_counts(num_samples, cum_costs, full_wrong_count, c, w)).value
+            for c, w in zip(counts, wrong.tolist())
+        ]
+        best = values.index(min(values))  # the first, lowest candidate wins a plateau
+        chosen.append(best)
+        done_counts, done_wrong = counts[best], done_wrong + int(leave[best, 1].sum())
         alive &= codes[stage] <= 2 * best + 1  # bin <= best
-    return ThresholdSchedule(tuple(chosen))
+    return chosen
+
+
+def calibrate(
+    dataset: EnsembleDataset | DatasetFiles,
+    alpha: float = DEFAULT_ALPHA,
+    grid: GridSpec = GridSpec(),
+) -> ThresholdSchedule:
+    """Choose stop thresholds by greedy per-stage grid search: one pass for the
+    code table, then the search over it (see module docs)."""
+    _check_alpha(alpha)
+    if dataset.num_models < 2:
+        raise ValueError("calibration needs at least 2 models")
+    candidates = grid.values()
+    codes = _stage_codes(dataset, candidates)
+    cum_costs = _cumulative_costs(dataset.costs_ms, dataset.num_samples)
+    chosen = _search(codes, len(candidates), cum_costs, alpha)
+    return ThresholdSchedule(tuple(candidates[i] for i in chosen))
 
 
 @dataclass(frozen=True)
@@ -233,12 +240,7 @@ def load_schedule(path) -> ScheduleFile:
     """Read a schedule JSON file, tolerating absent metadata keys and ignoring
     unknown ones."""
     p = Path(path)
-    try:
-        doc = json.loads(p.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MalformedScheduleError(f"{p}: invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise MalformedScheduleError(f"{p}: schedule must be a JSON object")
+    doc = _json_object(p, MalformedScheduleError, "schedule")
     version = doc.get("version")
     if version != 1 or isinstance(version, (bool, float)):  # true and 1.0 equal 1
         raise MalformedScheduleError(f"{p}: unsupported schedule version {version!r}")

@@ -9,6 +9,13 @@ Calibration and evaluation are meant to use distinct dataset splits. The
 calibrate subcommand records its dataset path in the schedule file, and run
 refuses to evaluate on that same path unless run itself is passed
 --allow-same-split; no key of the schedule file can switch that check off.
+
+Every output file is written atomically: to a temporary file beside it,
+then renamed over it. A symlinked --out is followed: the file it resolves
+to is replaced from a temporary file in that file's directory, and the link
+stays. An --out that exists but is not a regular file (a directory, a FIFO,
+a device such as /dev/null) is refused with exit 1 before anything is
+written.
 """
 
 from __future__ import annotations

@@ -270,11 +270,15 @@ def write_atomic(path, data: str | Iterable) -> None:
     translation, or an iterable of byte-like buffers (such as a header and
     the chunks of a contiguous array), written one after another without
     being joined. A failure or crash mid-write leaves any existing file at
-    `path` as it was.
+    `path` as it was. A symlink is followed, and the file it resolves to is
+    replaced; a target that exists but is not a regular file (a directory, a
+    FIFO, a device) is refused before anything is written.
     """
     if isinstance(data, str):
         data = [data.encode("utf-8")]
-    target = Path(path)
+    target = Path(os.path.realpath(path))
+    if target.exists() and not target.is_file():
+        raise ValidationError(f"{path}: not a regular file; refusing to replace it")
     tmp = target.with_name(f".{target.name}.{os.getpid()}.{os.urandom(4).hex()}.tmp")
     try:
         with open(tmp, "wb") as out:
@@ -373,9 +377,19 @@ def _manifest_int(doc: dict, key: str, path: Path) -> int:
     return value
 
 
-def _parse_manifest(doc, path: Path) -> DatasetManifest:
+def _json_object(path: Path, error: type[ValidationError], what: str) -> dict:
+    """The JSON object that the file at `path` holds; raises `error` naming the
+    path if the file is not JSON or holds another value."""
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+    except json.JSONDecodeError as exc:
+        raise error(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
-        raise MalformedManifestError(f"{path}: manifest must be a JSON object")
+        raise error(f"{path}: {what} must be a JSON object")
+    return doc
+
+
+def _parse_manifest(doc: dict, path: Path) -> DatasetManifest:
     for field in fields(DatasetManifest):
         if field.name not in doc:
             raise MalformedManifestError(f"{path}: manifest key {field.name!r} is missing")
@@ -531,11 +545,7 @@ def open_dataset(manifest_path) -> DatasetFiles:
     payload's, then reads the labels; logit_chunks checks the rest.
     """
     path = Path(manifest_path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise MalformedManifestError(f"{path}: invalid JSON: {exc}") from exc
-    manifest = _parse_manifest(doc, path)
+    manifest = _parse_manifest(_json_object(path, MalformedManifestError, "manifest"), path)
 
     shape = (manifest.num_samples, manifest.num_classes)
     logit_paths = tuple(path.parent / name for name in manifest.logit_files)
@@ -567,15 +577,31 @@ def load_dataset(manifest_path) -> EnsembleDataset:
     return EnsembleDataset(logits=logits, labels=files.labels, costs_ms=files.costs_ms)
 
 
-def _read_csv_rows(path: Path) -> list[list[str]]:
+def _read_csv(path: Path, parse, width: int | None = None, num_rows: int | None = None):
+    """The (rows, width) cells of a headerless CSV file, each parsed by `parse`
+    (float or int) into a float64 or int64 array; width None takes the first
+    row's. The row count is checked against num_rows, when given, before any
+    cell is parsed."""
     lines = path.read_text(encoding="utf-8").split("\n")
-    if lines and lines[-1] == "":
+    if lines[-1] == "":
         lines.pop()  # trailing newline, not an empty row
-    rows = []
-    for raw in lines:
-        line = raw[:-1] if raw.endswith("\r") else raw
-        rows.append(line.split(","))
-    return rows
+    if num_rows is not None and len(lines) != num_rows:
+        raise DimensionMismatchError(f"{path}: {len(lines)} label rows for {num_rows} samples")
+    if not lines:
+        raise CsvParseError(str(path), 0, 0, "file contains no data rows")
+    rows = [line.removesuffix("\r").split(",") for line in lines]
+    width = len(rows[0]) if width is None else width
+    cells = np.empty((len(rows), width), dtype=np.float64 if parse is float else np.int64)
+    for r, row in enumerate(rows):
+        if len(row) != width:
+            raise RaggedRowsError(str(path), r, width, len(row))
+        for col, cell in enumerate(row):
+            try:
+                cells[r, col] = parse(cell)
+            except ValueError as exc:
+                what = "a real number" if parse is float else "an integer"
+                raise CsvParseError(str(path), r, col, f"cannot parse {cell!r} as {what}") from exc
+    return cells
 
 
 def import_csv(logits_csvs: Sequence, labels_csv, costs_ms) -> EnsembleDataset:
@@ -596,52 +622,17 @@ def import_csv(logits_csvs: Sequence, labels_csv, costs_ms) -> EnsembleDataset:
         )
 
     matrices = []
-    num_samples = num_classes = None
     for csv_path in logits_csvs:
         path = Path(csv_path)
-        rows = _read_csv_rows(path)
-        if not rows:
-            raise CsvParseError(str(path), 0, 0, "file contains no data rows")
-        width = len(rows[0])
-        matrix = np.empty((len(rows), width), dtype=np.float64)
-        for r, cells in enumerate(rows):
-            if len(cells) != width:
-                raise RaggedRowsError(str(path), r, width, len(cells))
-            for col, cell in enumerate(cells):
-                try:
-                    matrix[r, col] = float(cell)
-                except ValueError as exc:
-                    raise CsvParseError(
-                        str(path), r, col, f"cannot parse {cell!r} as a real number"
-                    ) from exc
-        if num_samples is None:
-            num_samples, num_classes = matrix.shape
-        elif matrix.shape != (num_samples, num_classes):
+        matrices.append(_read_csv(path, float))
+        if matrices[-1].shape != matrices[0].shape:
             raise DimensionMismatchError(
-                f"{path}: shape {matrix.shape} disagrees with first file "
-                f"({num_samples}, {num_classes})"
+                f"{path}: shape {matrices[-1].shape} disagrees with first file {matrices[0].shape}"
             )
-        matrices.append(matrix)
-
-    label_path = Path(labels_csv)
-    rows = _read_csv_rows(label_path)
-    if len(rows) != num_samples:
-        raise DimensionMismatchError(
-            f"{label_path}: {len(rows)} label rows for {num_samples} samples"
-        )
-    labels = np.empty(num_samples, dtype=np.int64)
-    for r, cells in enumerate(rows):
-        if len(cells) != 1:
-            raise RaggedRowsError(str(label_path), r, 1, len(cells))
-        try:
-            labels[r] = int(cells[0])
-        except ValueError as exc:
-            raise CsvParseError(
-                str(label_path), r, 0, f"cannot parse {cells[0]!r} as an integer"
-            ) from exc
+    labels = _read_csv(Path(labels_csv), int, width=1, num_rows=len(matrices[0]))
 
     logits = np.stack(matrices)
     bad = _beyond_float32_at(logits)
     if bad is not None:
         raise NonFiniteLogitError(*bad)
-    return EnsembleDataset(logits=logits.astype(np.float32), labels=labels, costs_ms=costs)
+    return EnsembleDataset(logits=logits.astype(np.float32), labels=labels[:, 0], costs_ms=costs)

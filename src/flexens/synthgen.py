@@ -60,7 +60,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
-from typing import Generator, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -276,24 +276,22 @@ class SynthConfig:
         return (DEFAULT_COST_MS,) * self.num_models
 
 
-def _draw(config: SynthConfig) -> tuple[np.ndarray, Iterator[tuple[int, int, np.ndarray]]]:
-    """(labels, chunks) of the config's stream (see module docs).
+def _draw(config: SynthConfig, labels: np.ndarray) -> Iterator[tuple[int, int, np.ndarray]]:
+    """The chunks of the config's stream (see module docs), drawn window by window.
 
-    The '<u4' labels and each sample's signal come from the first 2M words,
-    drawn before this returns. `chunks` then draws the rest window by window and
-    yields (model, start, values): float32 logits of one model at flat (sample,
+    Yields (model, start, values): float32 logits of one model at flat (sample,
     class) offsets start, start + 1, ..., in (model, sample, class) order, each
-    checked finite as EnsembleDataset checks them.
+    checked finite as EnsembleDataset checks them. `labels`, an (M,) '<u4'
+    array, is filled from the first M words, and each sample's signal from the
+    next M, so the labels are complete once the first chunk has been drawn.
     """
     m, c = config.num_samples, config.num_classes
     values = config.num_models * m * c
-    windows = _windows(config.seed, 2 * m + values + values % 2)
-    labels = np.empty(m, dtype="<u4")
     signal = np.empty(m, dtype=np.float64)
-    drawn = 0
-    while drawn < 2 * m:
-        u = _uniforms(next(windows))
-        head = min(u.size, 2 * m - drawn)
+    drawn = 0  # words of the stream before this window
+    for words in _windows(config.seed, 2 * m + values + values % 2):
+        u = _uniforms(words)
+        head = min(u.size, max(2 * m - drawn, 0))
         split = min(max(m - drawn, 0), head)  # u[:split] holds labels, u[split:head] difficulties
         if split:
             u[:split] *= c
@@ -305,27 +303,14 @@ def _draw(config: SynthConfig) -> tuple[np.ndarray, Iterator[tuple[int, int, np.
             rows = signal[drawn + split - m : drawn + head - m]
             np.subtract(1.0, u[split:head], out=rows)
             rows *= config.signal_scale
-        drawn += head
-        if drawn < 2 * m:
-            del u  # the one name viewing the window: freed before the next is drawn
-    return labels, _logit_chunks(config, labels, signal, u[head:], windows)
+        yield from _normal_chunks(config, labels, signal, u[head:], max(drawn - 2 * m, 0))
+        drawn += u.size
+        del words, u  # the names viewing the window: freed before the next is drawn
 
 
-def _logit_chunks(config, labels, signal, first, windows) -> Iterator[tuple[int, int, np.ndarray]]:
-    """The chunks of _draw, from `first`, the uniforms after the difficulties in
-    their window, then from each window left in `windows`."""
-    done = yield from _normal_chunks(config, labels, signal, first, 0)
-    del first
-    for words in windows:
-        done = yield from _normal_chunks(config, labels, signal, _uniforms(words), done)
-        del words  # freed before the next window is drawn
-
-
-def _normal_chunks(
-    config, labels, signal, normals, done
-) -> Generator[tuple[int, int, np.ndarray], None, int]:
+def _normal_chunks(config, labels, signal, normals, done) -> Iterator[tuple[int, int, np.ndarray]]:
     """The chunks of one window's uniforms, an even number, which become normals
-    `done`, `done` + 1, ... of the stream; returns the count of normals done after them."""
+    `done`, `done` + 1, ... of the stream."""
     c, sigma = config.num_classes, config.noise_sigma
     per_model = config.num_samples * c
     for first in range(0, normals.size, _BLOCK_VALUES):
@@ -349,7 +334,6 @@ def _normal_chunks(
             if bad is not None:
                 raise NonFiniteLogitError(model, *divmod(start + bad[0], c))
             yield model, start, chunk
-    return done
 
 
 def _base(labels, signal, num_classes, start, size) -> np.ndarray:
@@ -366,10 +350,10 @@ def _base(labels, signal, num_classes, start, size) -> np.ndarray:
 def generate(config: SynthConfig) -> EnsembleDataset:
     """Deterministically generate a dataset from the config (see module docs)."""
     n, m, c = config.num_models, config.num_samples, config.num_classes
-    labels, chunks = _draw(config)
+    labels = np.empty(m, dtype="<u4")
     tensor = np.empty((n, m, c), dtype=np.float32)
     flat = tensor.reshape(n, m * c)
-    for model, start, values in chunks:
+    for model, start, values in _draw(config, labels):
         flat[model, start : start + values.size] = values
     tensor.setflags(write=False)  # read-only and owning its memory: adopted without a copy
     costs = np.array(config.resolved_costs(), dtype=np.float64)
@@ -381,9 +365,9 @@ def save_generated(config: SynthConfig, directory) -> DatasetManifest:
     for byte, drawing the stream window by window instead of holding the tensor."""
     costs = np.array(config.resolved_costs(), dtype=np.float64)
     _cumulative_costs(costs, config.num_samples)  # refused before anything is written
-    labels, chunks = _draw(config)
+    labels = np.empty(config.num_samples, dtype="<u4")
     models = (
         (values for _, _, values in group)
-        for _, group in itertools.groupby(chunks, key=operator.itemgetter(0))
+        for _, group in itertools.groupby(_draw(config, labels), key=operator.itemgetter(0))
     )
     return _write_dataset(directory, config.num_samples, config.num_classes, models, labels, costs)

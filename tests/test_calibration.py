@@ -14,6 +14,8 @@ from flexens.calibration import (
     GridSpec,
     ScheduleFile,
     _grid_bins,
+    _search,
+    _stage_codes,
     calibrate,
     evaluate_objective,
     load_schedule,
@@ -30,6 +32,7 @@ from flexens.cascade_engine import (
 from flexens.dataset_io import (
     MANIFEST_NAME,
     EnsembleDataset,
+    _cumulative_costs,
     open_dataset,
     save_dataset,
 )
@@ -404,6 +407,44 @@ class TestBinnedSearch:
                     expected = sorted_sweep_calibrate(tabled, alpha, grid)
                     assert calibrate(streamed, alpha, grid).thresholds == expected
                     assert calibrate(tabled, alpha, grid).thresholds == expected
+
+
+class TestCodeTable:
+    """calibrate is one bin pass, _stage_codes, and a search, _search, that
+    reads nothing but the pass's table; a front of alphas reuses one table."""
+
+    def test_one_table_serves_every_alpha(self, seed42_dataset, tmp_path):
+        save_dataset(seed42_dataset, tmp_path / "d")
+        streamed = open_dataset(tmp_path / "d" / MANIFEST_NAME)
+        candidates = GridSpec().values()
+        for dataset in (seed42_dataset, streamed):
+            codes = _stage_codes(dataset, candidates)
+            assert codes.shape == (7, 10000) and codes.dtype == np.uint8
+            full_wrong = full_ensemble_predictions(dataset) != dataset.labels
+            assert codes[-1].tolist() == full_wrong.astype(np.uint8).tolist()
+            before = codes.copy()
+            cum_costs = _cumulative_costs(dataset.costs_ms, dataset.num_samples)
+            searched = {}
+            for alpha in (0.0, 0.5, 1.0):
+                chosen = _search(codes, len(candidates), cum_costs, alpha)
+                searched[alpha] = tuple(candidates[i] for i in chosen)
+                assert searched[alpha] == calibrate(dataset, alpha).thresholds
+            assert np.array_equal(codes, before)  # the search leaves the table as it was
+            assert searched[0.0] == SEED42_ALPHA0_THRESHOLDS
+            assert searched[1.0] == SEED42_ALPHA1_THRESHOLDS
+
+    def test_two_byte_codes_serve_every_alpha(self, dataset_factory):
+        grid = GridSpec(step=0.001)
+        ds = dataset_factory(np.random.default_rng(23), num_models=4, num_samples=200)
+        codes = _stage_codes(ds, grid.values())
+        assert codes.dtype == np.uint16
+        assert codes[-1].tolist() == (full_ensemble_predictions(ds) != ds.labels).tolist()
+        cum_costs = _cumulative_costs(ds.costs_ms, ds.num_samples)
+        for alpha in (0.0, 0.5, 1.0):
+            chosen = _search(codes, len(grid.values()), cum_costs, alpha)
+            expected = calibrate(ds, alpha, grid).thresholds
+            assert tuple(grid.values()[i] for i in chosen) == expected
+            assert expected == reference_calibrate(ds, alpha, grid)
 
 
 class TestScheduleFile:

@@ -295,6 +295,26 @@ class TestPipeline:
         assert main(["run", "--data", str(data), "--schedule", str(schedule),
                      "--out", str(tmp_path / "r.csv")]) == 1
 
+    def test_an_out_that_is_not_a_regular_file_exits_1(self, tmp_path, capsys):
+        data = gen_dataset(tmp_path, "data")
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        capsys.readouterr()
+        assert main(["calibrate", "--data", str(data), "--grid-step", "0.25",
+                     "--out", str(fifo)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {fifo}: not a regular file; refusing to replace it\n"
+        assert fifo.is_fifo()
+
+    def test_a_symlinked_out_keeps_its_link(self, tmp_path, capsys):
+        data = gen_dataset(tmp_path, "data")
+        real, link = tmp_path / "real.csv", tmp_path / "link.csv"
+        real.write_text("old contents\n")
+        link.symlink_to(real)
+        assert main(["baseline", "--data", str(data), "--out", str(link)]) == 0
+        assert link.is_symlink()
+        assert real.read_text().startswith("config,accuracy,")
+
     def test_missing_schedule_exits_2(self, tmp_path, capsys):
         data = gen_dataset(tmp_path, "data")
         assert main(["run", "--data", str(data), "--schedule", str(tmp_path / "no.json"),

@@ -7,12 +7,14 @@ on a few C=10 schedules through the library, and run_sample on the first
 500 samples of both datasets under the same schedules, which must give
 run_dataset's traces in the same interpreter. OPENBLAS_CORETYPE picks
 OpenBLAS's kernels, so Haswell and Prescott stand in for CPUs other than
-this one, and NPY_ENABLE_CPU_FEATURES=X86_V3 switches off numpy's AVX-512
-loops. Every setting must give the default's thresholds, CLI stdout, CSV
-bytes, stage predictions, per-sample exit stages, run_sample's exit stages
-and predictions, and every EvaluationReport field by repr. The seed-42
-config gives a different calibrated R under Haswell and Prescott when R is
-scored by a BLAS dot.
+this one, NPY_ENABLE_CPU_FEATURES=X86_V3 switches off numpy's AVX-512
+loops, and GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA,-AVX2 makes glibc pick its
+non-FMA log1p, cos and sin, which gen calls once per value. Every setting
+must give the default's thresholds, CLI stdout, CSV bytes, the bytes of
+every file gen wrote, stage predictions, per-sample exit stages,
+run_sample's exit stages and predictions, and every EvaluationReport field
+by repr. The seed-42 config gives a different calibrated R under Haswell
+and Prescott when R is scored by a BLAS dot.
 
 Margins are left out on purpose: np.exp's last bit depends on the loop
 numpy dispatches, so margins are stable only per numpy build and dispatch
@@ -30,7 +32,7 @@ import pytest
 
 # run in an empty directory as cwd, so every path the CLI prints is the same
 PIPELINE = r"""
-import contextlib, dataclasses, hashlib, io, json
+import contextlib, dataclasses, hashlib, io, json, pathlib
 from flexens.calibration import load_schedule
 from flexens.cascade_engine import ThresholdSchedule, run_dataset, run_sample, stage_tables
 from flexens.cli import main
@@ -94,6 +96,11 @@ print(json.dumps({
     "exit_stages": exit_stages,
     "single_samples": single_samples,
     "reports": reports,
+    # gen's bytes rest on libm's log1p, cos and sin
+    "files": {
+        str(path): hashlib.sha256(path.read_bytes()).hexdigest()
+        for name in ("data", "wide") for path in sorted(pathlib.Path(name).iterdir())
+    },
 }))
 """
 
@@ -102,6 +109,7 @@ SETTINGS = {
     "openblas_haswell": {"OPENBLAS_CORETYPE": "Haswell"},
     "openblas_prescott": {"OPENBLAS_CORETYPE": "Prescott"},
     "numpy_x86_v3": {"NPY_ENABLE_CPU_FEATURES": "X86_V3"},
+    "glibc_no_fma": {"GLIBC_TUNABLES": "glibc.cpu.hwcaps=-FMA,-AVX2"},
 }
 
 
@@ -126,7 +134,7 @@ def pipeline_outputs(tmp_path_factory):
         if not _runs_here(name):
             continue
         env = {k: v for k, v in os.environ.items()
-               if k not in ("OPENBLAS_CORETYPE", "NPY_ENABLE_CPU_FEATURES")}
+               if k not in ("OPENBLAS_CORETYPE", "NPY_ENABLE_CPU_FEATURES", "GLIBC_TUNABLES")}
         env.update(setting, PYTHONPATH=src + os.pathsep + env.get("PYTHONPATH", ""))
         procs[name] = subprocess.Popen(
             [sys.executable, "-c", PIPELINE], cwd=tmp_path_factory.mktemp(name), env=env,

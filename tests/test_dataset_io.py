@@ -305,6 +305,42 @@ class TestAtomicWrites:
         assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
 
 
+    def test_a_symlinked_target_is_followed_and_keeps_its_link(self, tmp_path):
+        real = tmp_path / "real" / "s.json"
+        real.parent.mkdir()
+        real.write_text("old contents\n")
+        link = tmp_path / "links" / "s.json"
+        link.parent.mkdir()
+        link.symlink_to(real)
+        save_schedule(link, ThresholdSchedule.uniform(0.5, 3))
+        assert link.is_symlink() and os.readlink(link) == str(real)
+        assert json.loads(real.read_text())["thresholds"] == [0.5, 0.5]
+        assert sorted(p.name for p in real.parent.iterdir()) == ["s.json"]
+        assert sorted(p.name for p in link.parent.iterdir()) == ["s.json"]
+
+    def test_a_dangling_symlink_creates_the_file_it_names(self, tmp_path):
+        real, link = tmp_path / "s.json", tmp_path / "link.json"
+        link.symlink_to(real)
+        save_schedule(link, ThresholdSchedule.uniform(0.5, 3))
+        assert link.is_symlink() and real.is_file()
+
+    @pytest.mark.parametrize("kind", ["fifo", "directory", "symlink_to_fifo"])
+    def test_a_target_that_is_not_a_regular_file_is_refused(self, tmp_path, kind):
+        target = tmp_path / "special"
+        if kind == "directory":
+            target.mkdir()
+        else:
+            os.mkfifo(target)
+        path = tmp_path / "link" if kind == "symlink_to_fifo" else target
+        if path != target:
+            path.symlink_to(target)
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}: not a regular file"):
+            save_schedule(path, ThresholdSchedule.uniform(0.5, 3))
+        assert target.is_dir() if kind == "directory" else target.is_fifo()
+        assert path.is_symlink() == (kind == "symlink_to_fifo")
+        assert not [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+
+
 class TestInterruptedSave:
     """A save over another dataset that fails part way leaves a directory that
     does not open, never one that loads files of both datasets."""
@@ -902,6 +938,37 @@ class TestCsvImport:
         message = message.format(logits=logits, labels=labels)
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             import_csv([] if logit_text is None else [logits], labels, costs)
+
+    @pytest.mark.parametrize(
+        "logit_texts, label_text, error, message",
+        [
+            (["0,0\n1,1\n"], "zap\n", DimensionMismatchError,
+             "{labels}: 1 label rows for 2 samples"),
+            (["0,0\n1,1\n", ""], "0\n1\n", CsvParseError,
+             "{m1}: row 0, column 0: file contains no data rows"),
+            (["0,0\n1,1\n", "0,0,0\n1,zap,1\n9\n"], "0\n1\n", CsvParseError,
+             "{m1}: row 1, column 1: cannot parse 'zap' as a real number"),
+            (["0,0\n1,1\n", "0,0,0\n1,1,1\n9\n"], "0\n1\n", RaggedRowsError,
+             "{m1}: row 2 has 1 columns, expected 3"),
+            (["0,0\n1,1\n", "0,0,0\n"], "0\n", DimensionMismatchError,
+             "{m1}: shape (1, 3) disagrees with first file (2, 2)"),
+            (["0,0\n1,1\n"], "0\n1,zap\n", RaggedRowsError,
+             "{labels}: row 1 has 2 columns, expected 1"),
+        ],
+        ids=["short_unparsable_labels", "empty_second_file", "cell_before_shape",
+             "ragged_before_shape", "shape_before_labels", "ragged_label_before_its_cells"],
+    )
+    def test_error_order(self, tmp_path, logit_texts, label_text, error, message):
+        # each file's rows are counted, then each row's width checked, then its
+        # cells parsed; two logit files' shapes are compared after both parse
+        paths = [tmp_path / f"m{model}.csv" for model in range(len(logit_texts))]
+        for path, text in zip(paths, logit_texts):
+            path.write_text(text)
+        labels = tmp_path / "y.csv"
+        labels.write_text(label_text)
+        message = message.format(labels=labels, m1=paths[-1])
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            import_csv(paths, labels, [1.0] * len(paths))
 
     def test_cross_format_round_trip(self, tmp_path, dataset_factory):
         # repr() of the float64 view of a float32 value parses back to the
