@@ -71,8 +71,8 @@ class GridSpec:
     def __post_init__(self):
         if not (0.0 < self.step <= 1.0):
             raise ValueError(f"grid step must be in (0, 1], got {self.step!r}")
-        intervals = round(1.0 / self.step)
-        if intervals < 1 or abs(intervals * self.step - 1.0) > 1e-9:
+        intervals = 1.0 / self.step  # infinite for a subnormal step
+        if not np.isfinite(intervals) or abs(round(intervals) * self.step - 1.0) > 1e-9:
             raise ValueError(f"grid step {self.step!r} must divide [0, 1] evenly")
 
     def values(self) -> tuple[float, ...]:

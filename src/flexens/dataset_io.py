@@ -19,10 +19,12 @@ relative to the manifest's directory and may not leave it (no absolute
 paths, no "..").
 
 save_dataset and synthgen.save_generated share one writer, _write_dataset.
-It removes the old manifest first, writes each logit payload from chunks
-and then the labels, each file atomically, and the manifest last, so a
-write that fails part way leaves a directory that does not open; it then
-removes the files and directories it created, and no others.
+It refuses a dimension beyond the header's u32 fields, and costs whose total
+overflows, before it writes anything. It then removes the old manifest,
+writes each logit payload from chunks and then the labels, each file
+atomically, and the manifest last, so a write that fails part way leaves a
+directory that does not open; it then removes the files and directories it
+created, and no others.
 
 A directory is read in one of two ways. load_dataset builds an
 EnsembleDataset, which holds the whole (N, M, C) tensor; it is the library's
@@ -40,9 +42,11 @@ _CHUNK_VALUES values over all N models, however large N is, one model's
 needs fewer models skips the rest. An EnsembleDataset yields views of its
 tensor. A DatasetFiles handle reads each model's rows of a chunk, one
 contiguous byte range of its payload since payloads are row-major by sample,
-into one reused (n, C) float32 buffer, 1/N of a chunk. load_dataset reads
-each logit payload whole into its model's slice of the tensor, as
-open_dataset reads the labels.
+into one reused (n, C) float32 buffer, 1/N of a chunk. That read is the one
+loop over logit bytes: load_dataset copies its rows into the tensor, while
+open_dataset reads the label payload whole. Every payload is opened by one
+opener, _open_payload, which checks its header and file size, hands out the
+read that fills a buffer, and closes the file.
 
 Every logit is checked by one pass over such rows, _checked: a DatasetFiles
 handle runs it as logit_chunks reads, and an EnsembleDataset over its tensor
@@ -59,10 +63,10 @@ import json
 import math
 import os
 import struct
-from contextlib import ExitStack, suppress
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -310,13 +314,17 @@ def _write_dataset(
     iterable of '<f4' chunks that together hold the model's (num_samples,
     num_classes) logits in row-major order, then the labels, then the manifest.
 
-    Each file is written atomically. The old manifest is removed before the
-    first payload, so a write that fails part way leaves a directory that
-    open_dataset refuses, never a mix of two datasets that loads. Such a
-    write also removes the payloads it created where no file was before, and
-    the directories it made, so a failed write to a new directory leaves
-    nothing; files it did not write are left alone.
+    Dimensions beyond the header's u32 fields and costs whose total overflows
+    are refused first. Each file is written atomically. The old manifest is
+    removed before the first payload, so a write that fails part way leaves
+    a directory that open_dataset refuses, never a mix of two datasets that
+    loads. Such a write also removes the payloads it created where no file
+    was before, and the directories it made, so a failed write to a new
+    directory leaves nothing; files it did not write are left alone.
     """
+    # what no directory can hold is refused before anything is written
+    header = _header(LOGIT_MAGIC, (num_samples, num_classes))
+    _cumulative_costs(costs_ms, num_samples)
     root = Path(directory)
     made = list(itertools.takewhile(lambda d: not d.exists(), [root, *root.parents]))
     created = []
@@ -331,7 +339,6 @@ def _write_dataset(
     try:
         root.mkdir(parents=True, exist_ok=True)
         (root / MANIFEST_NAME).unlink(missing_ok=True)
-        header = _header(LOGIT_MAGIC, (num_samples, num_classes))
         logit_files = []
         for i, chunks in enumerate(models):
             logit_files.append(f"logits_{i:03d}.ensl")
@@ -446,17 +453,22 @@ def _header_format(ndim: int) -> str:
 
 
 def _header(magic: bytes, shape: tuple[int, ...]) -> bytes:
-    """A payload file's header, which the contiguous little-endian array follows."""
-    return struct.pack(_header_format(len(shape)), magic, FORMAT_VERSION, *shape)
+    """A payload file's header, which the contiguous little-endian array follows;
+    raises ValidationError for a dimension that its u32 fields cannot hold."""
+    try:
+        return struct.pack(_header_format(len(shape)), magic, FORMAT_VERSION, *shape)
+    except struct.error as exc:
+        raise ValidationError(f"dimensions {shape} exceed a payload header's u32 fields") from exc
 
 
-def _open_payload(path: Path, magic: bytes, shape: tuple[int, ...]) -> BinaryIO:
+@contextmanager
+def _open_payload(path: Path, magic: bytes, shape: tuple[int, ...]) -> Iterator[Callable]:
     """Open a payload, check its magic, version, dimensions and file size against
-    `shape`, and return the file at its first data byte; the caller closes it."""
+    `shape`, and yield a read(out) that fills `out` from the next bytes of the
+    array; the file is closed on leaving the block."""
     header_format = _header_format(len(shape))
     header_size = struct.calcsize(header_format)
-    payload = open(path, "rb")
-    try:
+    with open(path, "rb") as payload:
         header = payload.read(header_size)
         if len(header) < header_size:
             raise DatasetFormatError(f"{path}: file too short for its header")
@@ -476,18 +488,14 @@ def _open_payload(path: Path, magic: bytes, shape: tuple[int, ...]) -> BinaryIO:
         expected = header_size + 4 * math.prod(shape)  # both payload dtypes are 4 bytes wide
         if size != expected:
             raise DimensionMismatchError(f"{path}: payload is {size} bytes, expected {expected}")
-    except BaseException:
-        payload.close()
-        raise
-    return payload
 
+        def read(out: np.ndarray) -> None:
+            if payload.readinto(out) != out.nbytes:  # the file shrank after its size was checked
+                raise DimensionMismatchError(
+                    f"{path}: payload is {payload.tell()} bytes, expected {size}"
+                )
 
-def _fill(payload: BinaryIO, path: Path, out: np.ndarray, size: int) -> None:
-    """readinto `out` from the payload's position; `size` is its checked file size."""
-    offset = payload.tell()
-    read = payload.readinto(out)
-    if read != out.nbytes:  # the file shrank after its size was checked
-        raise DimensionMismatchError(f"{path}: payload is {offset + read} bytes, expected {size}")
+        yield read
 
 
 @dataclass(frozen=True, eq=False)
@@ -518,18 +526,15 @@ class DatasetFiles:
         """Read each payload's byte range of each chunk of samples into one
         buffer of one model's rows."""
         shape = (self.num_samples, self.num_classes)
-        size = struct.calcsize(_header_format(2)) + 4 * math.prod(shape)
         chunks = _sample_chunks(self.num_models, *shape)
         buffer = np.empty((chunks[0].stop, shape[1]), dtype="<f4")
         with ExitStack() as stack:
-            payloads = [
-                stack.enter_context(_open_payload(path, LOGIT_MAGIC, shape))
-                for path in self.logit_paths
-            ]
+            payloads = (_open_payload(path, LOGIT_MAGIC, shape) for path in self.logit_paths)
+            reads = [stack.enter_context(payload) for payload in payloads]
             for samples in chunks:
                 rows = buffer[: samples.stop - samples.start]
-                for model, (path, payload) in enumerate(zip(self.logit_paths, payloads)):
-                    _fill(payload, path, rows, size)
+                for model, read in enumerate(reads):
+                    read(rows)
                     yield samples, model, rows
 
     def check(self) -> None:
@@ -550,11 +555,11 @@ def open_dataset(manifest_path) -> DatasetFiles:
     shape = (manifest.num_samples, manifest.num_classes)
     logit_paths = tuple(path.parent / name for name in manifest.logit_files)
     for logit_path in logit_paths:
-        _open_payload(logit_path, LOGIT_MAGIC, shape).close()
-    label_path = path.parent / manifest.label_file
+        with _open_payload(logit_path, LOGIT_MAGIC, shape):
+            pass
     labels = np.empty(manifest.num_samples, dtype="<u4")
-    with _open_payload(label_path, LABEL_MAGIC, labels.shape) as payload:
-        _fill(payload, label_path, labels, payload.tell() + labels.nbytes)
+    with _open_payload(path.parent / manifest.label_file, LABEL_MAGIC, labels.shape) as read:
+        read(labels)
     costs = np.array(manifest.costs_ms, dtype=np.float64)
     for arr in (labels, costs):
         arr.setflags(write=False)
@@ -564,15 +569,15 @@ def open_dataset(manifest_path) -> DatasetFiles:
 def load_dataset(manifest_path) -> EnsembleDataset:
     """Load and fully validate a dataset directory given its manifest path.
 
-    The dataset holds the whole (N, M, C) tensor, each model's payload read
-    whole into its slice and checked once, by the EnsembleDataset; no tensor
-    is allocated before open_dataset has checked every payload.
+    The dataset holds the whole (N, M, C) tensor, filled chunk by chunk by the
+    unchecked read behind DatasetFiles.logit_chunks and checked once, by the
+    EnsembleDataset; no tensor is allocated before open_dataset has checked
+    every payload.
     """
     files = open_dataset(manifest_path)
     logits = np.empty((files.num_models, files.num_samples, files.num_classes), dtype="<f4")
-    for path, out in zip(files.logit_paths, logits):
-        with _open_payload(path, LOGIT_MAGIC, out.shape) as payload:
-            _fill(payload, path, out, payload.tell() + out.nbytes)
+    for samples, model, rows in files._read_chunks():
+        logits[model, samples] = rows
     logits.setflags(write=False)  # handed to EnsembleDataset without a copy
     return EnsembleDataset(logits=logits, labels=files.labels, costs_ms=files.costs_ms)
 
@@ -598,7 +603,7 @@ def _read_csv(path: Path, parse, width: int | None = None, num_rows: int | None 
         for col, cell in enumerate(row):
             try:
                 cells[r, col] = parse(cell)
-            except ValueError as exc:
+            except (ValueError, OverflowError) as exc:  # an int beyond int64 overflows
                 what = "a real number" if parse is float else "an integer"
                 raise CsvParseError(str(path), r, col, f"cannot parse {cell!r} as {what}") from exc
     return cells

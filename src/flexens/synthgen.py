@@ -65,9 +65,10 @@ from typing import Iterator
 import numpy as np
 
 from .dataset_io import (
+    LOGIT_MAGIC,
     DatasetManifest,
     EnsembleDataset,
-    _cumulative_costs,
+    _header,
     _nonfinite_at,
     _write_dataset,
 )
@@ -326,9 +327,10 @@ def _normal_chunks(config, labels, signal, normals, done) -> Iterator[tuple[int,
             x = block[: per_model - start]
             block = block[x.size :]
             done += x.size
-            x *= sigma
-            x += _base(labels, signal, c, start, x.size)  # the same sums as base + sigma * noise
-            with np.errstate(over="ignore"):  # an overflow is inf, which the check reports
+            # the same sums as base + sigma * noise; an overflow is inf, which the check reports
+            with np.errstate(over="ignore"):
+                x *= sigma
+                x += _base(labels, signal, c, start, x.size)
                 chunk = x.astype("<f4")
             bad = _nonfinite_at(chunk)
             if bad is not None:
@@ -364,7 +366,8 @@ def save_generated(config: SynthConfig, directory) -> DatasetManifest:
     """Write the directory save_dataset(generate(config), directory) writes, byte
     for byte, drawing the stream window by window instead of holding the tensor."""
     costs = np.array(config.resolved_costs(), dtype=np.float64)
-    _cumulative_costs(costs, config.num_samples)  # refused before anything is written
+    # a dimension the payload header cannot hold is refused before the labels are allocated
+    _header(LOGIT_MAGIC, (config.num_samples, config.num_classes))
     labels = np.empty(config.num_samples, dtype="<u4")
     models = (
         (values for _, _, values in group)

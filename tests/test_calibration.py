@@ -182,6 +182,11 @@ class TestGridSpec:
         with pytest.raises(ValueError, match="evenly"):
             GridSpec(step=0.3)
 
+    @pytest.mark.parametrize("step", [1e-320, 5e-324])
+    def test_rejects_a_step_whose_reciprocal_is_infinite(self, step):
+        with pytest.raises(ValueError, match=f"^grid step {step!r} must divide"):
+            GridSpec(step=step)
+
     def test_rejects_out_of_range_step(self):
         with pytest.raises(ValueError):
             GridSpec(step=0.0)
@@ -505,10 +510,11 @@ class TestScheduleFile:
             ({"grid_step": float("inf")}, "grid step must be in (0, 1], got inf"),
             ({"alpha": 1.5}, "alpha must be in [0, 1], got 1.5"),
             ({"grid_step": 0.3}, "grid step 0.3 must divide [0, 1] evenly"),
+            ({"grid_step": 5e-324}, "grid step 5e-324 must divide [0, 1] evenly"),
         ],
         ids=["not_object", "alpha", "grid_step", "calibration_data", "huge_threshold",
              "huge_alpha", "huge_grid_step", "version_true", "version_float", "nan_alpha",
-             "infinite_grid_step", "alpha_above_one", "uneven_grid_step"],
+             "infinite_grid_step", "alpha_above_one", "uneven_grid_step", "subnormal_grid_step"],
     )
     def test_rejections_name_the_path(self, tmp_path, extra, message):
         path = tmp_path / "schedule.json"

@@ -58,6 +58,16 @@ class TestGen:
         )
         assert not out.exists()
 
+    def test_a_dimension_beyond_the_header_u32_exits_1(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(["gen", "--models", "1", "--samples", "1", "--classes", "4294967296",
+                     "--seed", "1", "--out", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            "error: dimensions (1, 4294967296) exceed a payload header's u32 fields\n"
+        )
+        assert not out.exists()
+
 
 class TestValidate:
     def test_prints_summary(self, tmp_path, capsys):
@@ -314,6 +324,15 @@ class TestPipeline:
         assert main(["baseline", "--data", str(data), "--out", str(link)]) == 0
         assert link.is_symlink()
         assert real.read_text().startswith("config,accuracy,")
+
+    def test_a_grid_step_with_an_infinite_reciprocal_exits_1(self, tmp_path, capsys):
+        data = gen_dataset(tmp_path, "data")
+        out = tmp_path / "schedule.json"
+        capsys.readouterr()
+        assert main(["calibrate", "--data", str(data), "--grid-step", "1e-320",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: grid step 1e-320 must divide [0, 1] evenly\n"
+        assert not out.exists()
 
     def test_missing_schedule_exits_2(self, tmp_path, capsys):
         data = gen_dataset(tmp_path, "data")

@@ -860,6 +860,17 @@ class TestCsvImport:
         with pytest.raises(CsvParseError):
             import_csv([logits], labels, [1.0])
 
+    @pytest.mark.parametrize("label", ["99999999999999999999", "-99999999999999999999"])
+    def test_label_beyond_int64_is_a_parse_error(self, tmp_path, label):
+        logits = tmp_path / "m0.csv"
+        logits.write_text("0,0\n0,0\n")
+        labels = tmp_path / "y.csv"
+        labels.write_text(f"0\n{label}\n")
+        message = f"{labels}: row 1, column 0: cannot parse {label!r} as an integer"
+        with pytest.raises(CsvParseError, match=f"^{re.escape(message)}$") as exc:
+            import_csv([logits], labels, [1.0])
+        assert (exc.value.row, exc.value.column) == (1, 0)
+
     def test_nan_cell_rejected_with_coordinates(self, tmp_path):
         logits = tmp_path / "m0.csv"
         logits.write_text("0,nan\n")

@@ -312,14 +312,17 @@ class TestStreamedGen:
         assert len(drawn) == 2 * 2 * -(-(2 * m + 6 * m) // 64)  # two calls, two arrays a window
 
     def test_logits_beyond_float32_are_refused(self, tmp_path, capsys):
-        # the float32 cast overflows with no RuntimeWarning; the finite check reports it
-        with pytest.raises(NonFiniteLogitError, match="model=0, sample=0, class=0"):
-            generate(SynthConfig(2, 5, 3, 1, noise_sigma=1e39))
-        out = tmp_path / "gen"
-        assert main(["gen", "--models", "2", "--samples", "5", "--classes", "3", "--seed", "1",
-                     "--sigma", "1e39", "--out", str(out)]) == 1
-        assert capsys.readouterr().err == "error: non-finite logit at model=0, sample=0, class=0\n"
-        assert not out.exists()
+        # at 1e39 the float32 cast overflows, at 1e308 the float64 noise itself;
+        # neither warns, and the finite check reports both
+        for sigma in ["1e39", "1e308"]:
+            with pytest.raises(NonFiniteLogitError, match="model=0, sample=0, class=0"):
+                generate(SynthConfig(2, 5, 3, 1, noise_sigma=float(sigma)))
+            out = tmp_path / "gen"
+            assert main(["gen", "--models", "2", "--samples", "5", "--classes", "3",
+                         "--seed", "1", "--sigma", sigma, "--out", str(out)]) == 1
+            err = capsys.readouterr().err
+            assert err == "error: non-finite logit at model=0, sample=0, class=0\n"
+            assert not out.exists()
 
     def test_a_failed_gen_keeps_files_it_did_not_write(self, tmp_path):
         out = tmp_path / "gen"
