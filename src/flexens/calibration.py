@@ -22,12 +22,13 @@ table: row k-1 holds each sample's code at stage k < N, bin*2 + wrong_k,
 where the bin is the number of stop levels at or below its margin and
 wrong_k whether the stage's prediction is wrong, and row N-1 holds wrong_N,
 whether the full ensemble's prediction is wrong. That is N bytes a sample
-up to 128 candidates, not the 16 per stage of the stage tables. The search
-is a pure function of the table, the candidate count, the cumulative costs
-and alpha. A sample stays at candidate i iff its bin is at most i, that is
-its code at most 2i + 1, so one bincount of code*2 + wrong_N over the alive
-samples and one cumulative sum of it give every candidate's exit count and
-wrong count, the same integers a sorted sweep over the margins gives;
+up to 128 candidates and 2N up to 32768, the most calibrate takes, not the
+16 per stage of the stage tables. The search is a pure function of the
+table, the candidate count, the cumulative costs and alpha. A sample stays
+at candidate i iff its bin is at most i, that is its code at most 2i + 1,
+so one bincount of code*2 + wrong_N over the alive samples and one
+cumulative sum of it give every candidate's exit count and wrong count,
+the same integers a sorted sweep over the margins gives;
 metrics_report.score_counts turns them into R and E by the same arithmetic
 as every report. Bins come from floor(margin * G) and two comparisons with
 the stop levels, not from a binary search. With N models, M samples and G
@@ -132,6 +133,10 @@ def _grid_bins(margins: np.ndarray, stop_levels: np.ndarray, out: np.ndarray) ->
     out += stop_levels[1:].take(lower) <= margins
 
 
+# the most candidates whose codes bin*2 + wrong_k all fit _stage_codes' uint16 table
+_MAX_CANDIDATES = 2**15
+
+
 def _stage_codes(dataset: EnsembleDataset | DatasetFiles, candidates) -> np.ndarray:
     """The search's (N, M) code table, from one pass over the stages: bin*2 +
     wrong_k at stages 1..N-1 in rows 0..N-2, the full ensemble's wrong flag in
@@ -198,6 +203,8 @@ def calibrate(
     _check_alpha(alpha)
     if dataset.num_models < 2:
         raise ValueError("calibration needs at least 2 models")
+    if round(1.0 / grid.step) >= _MAX_CANDIDATES:  # G intervals give G + 1 candidates
+        raise ValueError(f"grid step {grid.step!r} gives more than {_MAX_CANDIDATES} candidates")
     candidates = grid.values()
     codes = _stage_codes(dataset, candidates)
     cum_costs = _cumulative_costs(dataset.costs_ms, dataset.num_samples)

@@ -47,10 +47,10 @@ chunk, so chunking changes no output bit.
 
 run_sample, the per-request path, checks its whole input first, as datasets
 check theirs. It then takes the row kernel's steps on all N stages of its
-one sample in a few whole-array calls, up to the exp'd rows and their sums,
-and finds each stage's top two in a Python loop that stops at the exit
-stage, so only the stages the sample runs are reduced. It agrees with
-run_dataset bit for bit.
+one sample in a few whole-array calls at every class count, up to the
+exp'd rows, their sums and their top two (from _top_two, which the row
+kernel's near ties share). A Python loop then only forms each margin and
+stops at the exit stage. It agrees with run_dataset bit for bit.
 
 run_dataset returns a columnar CascadeRun, whose run[i] builds sample i's
 CascadeTrace on demand; metrics_report.report takes only this result, not
@@ -159,6 +159,16 @@ class CascadeRun(Sequence):
         )
 
 
+def _top_two(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each row's first argmax, its max, and the largest other value counted
+    with multiplicity, for (n, num_classes) float64 rows, as the definition
+    takes them. The last two come from one partition, whose top value has the
+    bits of the value at the argmax for rows that hold no -0.0, as exp'd
+    values and their quotients by a positive sum do not."""
+    pair = np.partition(rows, -2, axis=1)
+    return rows.argmax(axis=1), pair[:, -1], pair[:, -2]
+
+
 def _prefix_stage_stats(prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Margins and predictions of every stage from float64 running logit sums.
 
@@ -176,8 +186,8 @@ def _prefix_stage_stats(prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     value over the sum, that class is the quotients' strict maximum, and the
     prediction and margin are the definition's bytes. Any other row (a
     margin of 0 or less) is a near tie, where exp or the division can round
-    an earlier class up to the top, so it is divided in full and reduced as
-    the definition does.
+    an earlier class up to the top, so it is divided in full and reduced by
+    _top_two, as the definition does.
     """
     num_models, num_samples, num_classes = prefix.shape
     prefix[1:] /= np.arange(2, num_models + 1, dtype=np.float64)[:, None, None]
@@ -197,12 +207,8 @@ def _prefix_stage_stats(prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not margins.min() > 0:
         tied = np.flatnonzero(margins <= 0)
         rows.put(flat[tied], top[tied])
-        tie_rows = rows[tied] / total[tied, None]
-        best[tied] = tie_rows.argmax(axis=1)
-        tie_flat = best[tied] + np.arange(0, tie_rows.size, num_classes)
-        tie_top = tie_rows.take(tie_flat)
-        tie_rows.put(tie_flat, -np.inf)
-        margins[tied] = tie_top - tie_rows.max(axis=1)
+        best[tied], top, second = _top_two(rows[tied] / total[tied, None])
+        margins[tied] = top - second
     shape = (num_models, num_samples)
     return margins.reshape(shape), best.reshape(shape)
 
@@ -375,23 +381,6 @@ def full_ensemble_predictions(dataset: EnsembleDataset | DatasetFiles) -> np.nda
     return predictions
 
 
-# run_sample reduces rows of up to this many classes as Python lists, and wider
-# ones with numpy calls. Per call at N=7 the two broke even at 16-20 classes,
-# and lists took 5x as long at 1000 (2 vCPU Xeon, numpy 2.4.6).
-_LIST_MAX_CLASSES = 16
-
-
-def _top_two(row) -> tuple[int, float, float]:
-    """The first index of a row's max, the max, and the largest other value
-    counted with multiplicity, as argmax and the row kernel's masked max give.
-    row is a list or a float64 array."""
-    best = row.index(max(row)) if isinstance(row, list) else int(row.argmax())
-    top, row[best] = row[best], -np.inf
-    second = max(row) if isinstance(row, list) else row.max()
-    row[best] = top
-    return best, top, second
-
-
 def run_sample(logits_per_model, schedule: ThresholdSchedule, costs_ms) -> CascadeTrace:
     """Run the cascade on a single sample's (num_models, num_classes) logits.
 
@@ -429,13 +418,13 @@ def run_sample(logits_per_model, schedule: ThresholdSchedule, costs_ms) -> Casca
     rows[1:] /= np.arange(2, num_models + 1, dtype=np.float64)[:, None]
     rows -= rows.max(axis=1, keepdims=True)
     np.exp(rows, out=rows)
-    totals, margins = rows.sum(axis=1).tolist(), []
-    stage_rows = rows.tolist() if num_classes <= _LIST_MAX_CLASSES else rows
-    for used, (row, total) in enumerate(zip(stage_rows, totals), 1):
-        best, top, second = _top_two(row)
+    bests, tops, seconds = _top_two(rows)
+    stats = zip(bests.tolist(), tops.tolist(), seconds.tolist(), rows.sum(axis=1).tolist())
+    margins = []
+    for used, (best, top, second, total) in enumerate(stats, 1):
         margin = top / total - second / total
         if not margin > 0:  # a near tie: divide the row in full, as _prefix_stage_stats does
-            best, top, second = _top_two(np.divide(row, total))
+            best, top, second = (value.item() for value in _top_two(rows[used - 1, None] / total))
             margin = top - second
         margins.append(margin)
         if used == num_models or margin >= _stop_level(schedule.thresholds[used - 1]):

@@ -34,6 +34,9 @@ from .cascade_engine import CascadeRun, ThresholdSchedule, _models_used, _stage_
 from .dataset_io import DatasetFiles, EnsembleDataset, _cumulative_costs, write_atomic
 
 DEFAULT_HISTOGRAM_BINS = 50
+# the most bins whose edges all print distinctly in format_real's 6 significant
+# digits: at 10**6 + 1 bins two of them collide
+_MAX_HISTOGRAM_BINS = 10**6
 SWEEP_CSV_HEADER = "config,accuracy,avg_cost_ms,R,E,avg_models"
 HISTOGRAM_CSV_HEADER = "bin_lo,bin_hi,correct,wrong"
 
@@ -167,6 +170,8 @@ def margin_histogram(
         )
     if bins < 1:
         raise ValueError(f"bins must be >= 1, got {bins}")
+    if bins > _MAX_HISTOGRAM_BINS:
+        raise ValueError(f"bins must be <= {_MAX_HISTOGRAM_BINS}, got {bins}")
     if limit is not None and limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
 

@@ -452,6 +452,17 @@ class TestCodeTable:
             assert expected == reference_calibrate(ds, alpha, grid)
 
 
+    def test_the_finest_grid_whose_codes_fit_two_bytes(self, dataset_factory):
+        # 32768 candidates give codes up to 2 * 32767 + 1 = 65535; one more does not fit
+        ds = dataset_factory(np.random.default_rng(24), num_models=2, num_samples=50)
+        finest = GridSpec(1 / 32767)
+        assert len(finest.values()) == 32768
+        assert _stage_codes(ds, finest.values()).dtype == np.uint16
+        assert set(calibrate(ds, 0.5, finest).thresholds) <= set(finest.values())
+        with pytest.raises(ValueError, match=r"^grid step 3\.0517578125e-05 gives more than 32768"):
+            calibrate(ds, 0.5, GridSpec(2**-15))
+
+
 class TestScheduleFile:
     def test_round_trip(self, tmp_path):
         path = tmp_path / "schedule.json"

@@ -15,6 +15,7 @@ from flexens.cascade_engine import (
     _class_major_stage_stats,
     _prefix_stage_stats,
     _stage_chunks,
+    _top_two,
     full_ensemble_predictions,
     run_dataset,
     run_sample,
@@ -212,12 +213,21 @@ class TestRunSample:
             run_sample(logits, ThresholdSchedule.uniform(0.0, 2), [1.0, 1.0, 1.0])
 
 
-# class counts on both sides of run_sample's list and array paths and of
-# numpy's pairwise_sum edges
-RUN_SAMPLE_CLASSES = sorted(
-    {2, 3, 7, 8, 9, 10, 16, 17, 33, 129, 300}
-    | {cascade_engine._LIST_MAX_CLASSES, cascade_engine._LIST_MAX_CLASSES + 1}
-)
+# class counts on both sides of numpy's pairwise_sum edges, and the paper's 1000
+RUN_SAMPLE_CLASSES = [2, 3, 7, 8, 9, 10, 16, 17, 33, 129, 300, 1000]
+
+
+@pytest.mark.parametrize("num_classes", [2, 3, 10, 1000])
+def test_top_two_counts_a_repeated_max_twice(num_classes):
+    # small integers repeat the max in most rows; zero rows tie at every class
+    rows = np.random.default_rng([num_classes, 28]).integers(0, 3, (300, num_classes)) / 2.0
+    rows[::7] = 0.0
+    best, top, second = _top_two(rows)
+    ordered = np.sort(rows, axis=1)
+    assert best.tolist() == rows.argmax(axis=1).tolist()
+    assert top.tobytes() == ordered[:, -1].tobytes()
+    assert second.tobytes() == ordered[:, -2].tobytes()
+    assert ((top == second) & (top > 0)).any() and (top == 0).any()
 
 
 class TestRunSampleEqualsRunDataset:

@@ -334,6 +334,15 @@ class TestPipeline:
         assert capsys.readouterr().err == "error: grid step 1e-320 must divide [0, 1] evenly\n"
         assert not out.exists()
 
+    def test_a_grid_too_fine_for_the_code_table_exits_1(self, tmp_path, capsys):
+        data = gen_dataset(tmp_path, "data")
+        out = tmp_path / "schedule.json"
+        capsys.readouterr()
+        assert main(["calibrate", "--data", str(data), "--grid-step", "1e-12",
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: grid step 1e-12 gives more than 32768 candidates\n"
+        assert not out.exists()
+
     def test_missing_schedule_exits_2(self, tmp_path, capsys):
         data = gen_dataset(tmp_path, "data")
         assert main(["run", "--data", str(data), "--schedule", str(tmp_path / "no.json"),
@@ -433,6 +442,15 @@ class TestHistogram:
         data = gen_dataset(tmp_path, "data")
         assert main(["histogram", "--data", str(data), "--ensemble-size", "9",
                      "--bins", "5", "--out", str(tmp_path / "h.csv")]) == 1
+
+    def test_more_bins_than_the_csv_prints_apart_exits_1(self, tmp_path, capsys):
+        data = gen_dataset(tmp_path, "data")
+        out = tmp_path / "h.csv"
+        capsys.readouterr()
+        assert main(["histogram", "--data", str(data), "--ensemble-size", "1",
+                     "--bins", "1000001", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "error: bins must be <= 1000000, got 1000001\n"
+        assert not out.exists()
 
 
 @pytest.fixture(scope="module")

@@ -8,12 +8,14 @@ on a few C=10 schedules through the library, and run_sample on the first
 run_dataset's traces in the same interpreter. OPENBLAS_CORETYPE picks
 OpenBLAS's kernels, so Haswell and Prescott stand in for CPUs other than
 this one, NPY_ENABLE_CPU_FEATURES=X86_V3 switches off numpy's AVX-512
-loops, and GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA,-AVX2 makes glibc pick its
-non-FMA log1p, cos and sin, which gen calls once per value. Every setting
-must give the default's thresholds, CLI stdout, CSV bytes, the bytes of
-every file gen wrote, stage predictions, per-sample exit stages,
-run_sample's exit stages and predictions, and every EvaluationReport field
-by repr. The seed-42 config gives a different calibrated R under Haswell
+loops, among them the sort path of the np.partition from which
+cascade_engine._top_two takes the top two of run_sample and of the row
+kernel's near ties, and GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA,-AVX2 makes
+glibc pick its non-FMA log1p, cos and sin, which gen calls once per value.
+Every setting must give the default's thresholds, CLI stdout, CSV bytes,
+the bytes of every file gen wrote, stage predictions, per-sample exit
+stages, run_sample's exit stages and predictions, and every
+EvaluationReport field by repr. The seed-42 config gives a different calibrated R under Haswell
 and Prescott when R is scored by a BLAS dot.
 
 Margins are left out on purpose: np.exp's last bit depends on the loop
