@@ -72,12 +72,17 @@ class GridSpec:
     def __post_init__(self):
         if not (0.0 < self.step <= 1.0):
             raise ValueError(f"grid step must be in (0, 1], got {self.step!r}")
-        intervals = 1.0 / self.step  # infinite for a subnormal step
-        if not np.isfinite(intervals) or abs(round(intervals) * self.step - 1.0) > 1e-9:
+        # 1/step is infinite for a subnormal step, which round() refuses
+        if not np.isfinite(1.0 / self.step) or abs(self.intervals * self.step - 1.0) > 1e-9:
             raise ValueError(f"grid step {self.step!r} must divide [0, 1] evenly")
 
+    @property
+    def intervals(self) -> int:
+        """G, the number of steps from 0 to 1; the grid holds G + 1 values."""
+        return round(1.0 / self.step)
+
     def values(self) -> tuple[float, ...]:
-        intervals = round(1.0 / self.step)
+        intervals = self.intervals
         return tuple(i / intervals for i in range(intervals + 1))
 
 
@@ -133,8 +138,9 @@ def _grid_bins(margins: np.ndarray, stop_levels: np.ndarray, out: np.ndarray) ->
     out += stop_levels[1:].take(lower) <= margins
 
 
-# the most candidates whose codes bin*2 + wrong_k all fit _stage_codes' uint16 table
-_MAX_CANDIDATES = 2**15
+# codes bin*2 + wrong_k run up to 2 * candidates - 1, so this is the most
+# candidates whose codes _stage_codes' table keeps in two bytes (uint16)
+_MAX_CANDIDATES = (np.iinfo(np.uint16).max + 1) // 2
 
 
 def _stage_codes(dataset: EnsembleDataset | DatasetFiles, candidates) -> np.ndarray:
@@ -203,7 +209,7 @@ def calibrate(
     _check_alpha(alpha)
     if dataset.num_models < 2:
         raise ValueError("calibration needs at least 2 models")
-    if round(1.0 / grid.step) >= _MAX_CANDIDATES:  # G intervals give G + 1 candidates
+    if grid.intervals >= _MAX_CANDIDATES:  # G intervals give G + 1 candidates
         raise ValueError(f"grid step {grid.step!r} gives more than {_MAX_CANDIDATES} candidates")
     candidates = grid.values()
     codes = _stage_codes(dataset, candidates)
