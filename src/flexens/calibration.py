@@ -30,8 +30,9 @@ so one bincount of code*2 + wrong_N over the alive samples and one
 cumulative sum of it give every candidate's exit count and wrong count,
 the same integers a sorted sweep over the margins gives;
 metrics_report.score_counts turns them into R and E by the same arithmetic
-as every report. Bins come from floor(margin * G) and two comparisons with
-the stop levels, not from a binary search. With N models, M samples and G
+as every report. The codes come from cascade_engine._grid_codes, which
+margin_histogram shares: the bin from floor(margin * G) and two comparisons
+with the stop levels, not from a binary search. With N models, M samples and G
 candidates the search costs O(N*M + N*G) time (O(N*M log G) were the bins
 searchsorted) and N*M bytes beside one chunk of working memory.
 
@@ -47,7 +48,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cascade_engine import ThresholdSchedule, _stage_chunks, _stop_levels
+from .cascade_engine import ThresholdSchedule, _grid_codes, _stage_chunks, _stop_levels
 from .dataset_io import (
     DatasetFiles,
     EnsembleDataset,
@@ -120,24 +121,6 @@ def evaluate_objective(
 _SEARCH_WINDOW = 65536
 
 
-def _grid_bins(margins: np.ndarray, stop_levels: np.ndarray, out: np.ndarray) -> None:
-    """out[...] = np.searchsorted(stop_levels, margins, side="right"), for the
-    stop levels of a GridSpec and margins in [0, 1].
-
-    The levels are i/G (G intervals), except the last, inf. floor(m*G),
-    clipped to [0, G-1], is within rounding of the bin, so every level below
-    it is at most m and every level two or more above it exceeds m; the two
-    levels it indexes are compared directly.
-    """
-    intervals = stop_levels.size - 1
-    lower = np.multiply(margins, intervals)
-    np.floor(lower, out=lower)
-    np.clip(lower, 0, intervals - 1, out=lower)
-    lower = lower.astype(np.intp)
-    np.add(lower, stop_levels.take(lower) <= margins, out=out, casting="unsafe")
-    out += stop_levels[1:].take(lower) <= margins
-
-
 # codes bin*2 + wrong_k run up to 2 * candidates - 1, so this is the most
 # candidates whose codes _stage_codes' table keeps in two bytes (uint16)
 _MAX_CANDIDATES = (np.iinfo(np.uint16).max + 1) // 2
@@ -153,10 +136,8 @@ def _stage_codes(dataset: EnsembleDataset | DatasetFiles, candidates) -> np.ndar
     for samples, margins, predictions in _stage_chunks(dataset, num_models):
         labels = dataset.labels[samples]
         for stage in range(num_models - 1):  # one stage at a time keeps the temporaries small
-            code = codes[stage, samples]
-            _grid_bins(margins[stage], stop_levels, code)
-            code <<= 1
-            code += predictions[stage] != labels
+            wrong = predictions[stage] != labels
+            _grid_codes(margins[stage], stop_levels, wrong, codes[stage, samples])
         np.not_equal(predictions[-1], labels, out=codes[-1, samples])
         # freed before the next chunk's kernel runs, which would otherwise raise the peak
         del margins, predictions

@@ -22,7 +22,10 @@ and M are. stage_tables stores what it yields as the schedule-independent
 caller. metrics_report's sweeps and histogram instead reduce each chunk to
 counts as it comes, and calibration.calibrate to one code of grid bin and
 wrong flag per stage, so the CLI's run, baseline, histogram and calibrate
-hold neither the (N, M, C) tensor nor the (N, M) tables. Stage k depends
+hold neither the (N, M, C) tensor nor the (N, M) tables. One function,
+_grid_codes, places margins among stop levels for both calibrate (its
+candidates) and margin_histogram (its edges), beside _stop_level, the rule
+it rests on: a threshold of 1.0 stops nothing. Stage k depends
 only on models 1..k, so a pass over the first k models gives the first k
 stages of the full one.
 
@@ -359,7 +362,30 @@ def _stop_level(threshold: float) -> float:
 
 
 def _stop_levels(thresholds) -> np.ndarray:
-    return np.array([_stop_level(t) for t in thresholds], dtype=np.float64)
+    return np.where(np.equal(thresholds, 1.0), np.inf, thresholds)  # each one's _stop_level
+
+
+def _grid_codes(margins: np.ndarray, stop_levels: np.ndarray, wrong, out=None) -> np.ndarray:
+    """bin*2 + wrong for each margin in [0, 1], in out if given, where the bin is
+    np.searchsorted(stop_levels, margins, side="right"), the number of stop
+    levels at or below the margin.
+
+    The one placement of margins among stop levels: calibrate codes each
+    stage's margins among its candidates' levels, and margin_histogram among
+    its edges' (see there). The levels are those of G + 1 evenly spaced values
+    from 0 to 1, each i/G to within a few ulp (a GridSpec's values, or
+    np.linspace's edges), the last being inf. floor(m*G), clipped to [0, G-1],
+    is within rounding of the bin, so every level below it is at most m and
+    every level two or more above it exceeds m; the two levels it indexes are
+    compared directly.
+    """
+    intervals = stop_levels.size - 1
+    lower = np.clip(np.floor(margins * intervals), 0, intervals - 1).astype(np.intp)
+    out = np.add(lower, stop_levels.take(lower) <= margins, out=out, casting="unsafe")
+    out += stop_levels[1:].take(lower) <= margins
+    out <<= 1
+    out += wrong
+    return out
 
 
 def _models_used(margins: np.ndarray, thresholds) -> np.ndarray:
@@ -397,6 +423,8 @@ def run_sample(logits_per_model, schedule: ThresholdSchedule, costs_ms) -> Casca
             f"expected (num_models, num_classes) logits, got {logits.ndim}-D input"
         )
     num_models, num_classes = logits.shape
+    if num_models < 1:
+        raise DimensionMismatchError("need at least 1 model")
     if num_classes < 2:
         raise DimensionMismatchError("need at least 2 classes")
     costs = np.asarray(costs_ms, dtype=np.float64)

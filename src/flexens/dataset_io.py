@@ -386,10 +386,10 @@ def _manifest_int(doc: dict, key: str, path: Path) -> int:
 
 def _json_object(path: Path, error: type[ValidationError], what: str) -> dict:
     """The JSON object that the file at `path` holds; raises `error` naming the
-    path if the file is not JSON or holds another value."""
+    path if the file is not UTF-8 JSON or holds another value."""
     try:
         doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8
         raise error(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise error(f"{path}: {what} must be a JSON object")

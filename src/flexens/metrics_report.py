@@ -20,17 +20,24 @@ flexible_sweep, ensemble_size_sweep and margin_histogram do not build
 them: they add up each chunk's exit counts, wrong counts and histogram
 counts as cascade_engine._stage_chunks yields it, for every schedule of a
 sweep in the same pass. Counts add exactly, so their results equal the
-tabled route's. Every CSV is written atomically.
+tabled route's. margin_histogram places margins among its edges by the
+function calibrate places them among its candidates by,
+cascade_engine._grid_codes, so a histogram bin and a calibration bin follow
+one rule. Every CSV is written atomically and a line at a time, so writing
+one holds a line of text, whatever the file's length.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .cascade_engine import CascadeRun, ThresholdSchedule, _models_used, _stage_chunks
+from .cascade_engine import (
+    CascadeRun, ThresholdSchedule, _grid_codes, _models_used, _stage_chunks, _stop_levels,
+)
 from .dataset_io import DatasetFiles, EnsembleDataset, _cumulative_costs, write_atomic
 
 DEFAULT_HISTOGRAM_BINS = 50
@@ -39,6 +46,8 @@ DEFAULT_HISTOGRAM_BINS = 50
 _MAX_HISTOGRAM_BINS = 10**6
 SWEEP_CSV_HEADER = "config,accuracy,avg_cost_ms,R,E,avg_models"
 HISTOGRAM_CSV_HEADER = "bin_lo,bin_hi,correct,wrong"
+# characters no unquoted CSV cell may hold
+_CSV_SPECIALS = frozenset(',"\r\n')
 
 
 @dataclass(frozen=True)
@@ -157,12 +166,16 @@ def margin_histogram(
 ) -> MarginHistogram:
     """Histogram the stage-k margins, split by correctness of the stage-k prediction.
 
-    Bins are equal-width over [0, 1]. limit restricts the tally to the first
+    Bins are equal-width over [0, 1]. A bin holds the margins that a threshold
+    at its lower edge stops and one at its upper edge does not: calibrate's
+    rule, from the same cascade_engine._grid_codes over the edges' stop levels.
+    The last edge, 1.0, stops nothing, so the last bin is closed: it also
+    holds margins of exactly 1.0. limit restricts the tally to the first
     `limit` samples (clamped to the dataset size), which keeps subset runs
     deterministic; the stages of later samples are not computed, but their
-    logits are still read and checked. Each chunk of samples is tallied with
-    the same edges and the counts added, which is exact: a value's bin
-    depends only on the value.
+    logits are still read and checked. Each chunk of samples is tallied by
+    one bincount of its codes and the counts added, which is exact: a
+    value's bin depends only on the value.
     """
     if not (1 <= ensemble_size <= dataset.num_models):
         raise ValueError(
@@ -176,17 +189,16 @@ def margin_histogram(
         raise ValueError(f"limit must be >= 1, got {limit}")
 
     edges = np.linspace(0.0, 1.0, bins + 1)
-    correct_counts = np.zeros(bins, dtype=np.int64)
-    wrong_counts = np.zeros(bins, dtype=np.int64)
+    stop_levels = _stop_levels(edges)
+    tally = np.zeros(2 * (bins + 1), dtype=np.int64)
     for samples, margins, predictions in _stage_chunks(dataset, ensemble_size, limit):
-        correct = predictions[-1] == dataset.labels[samples]
-        correct_counts += np.histogram(margins[-1][correct], bins=edges)[0]
-        wrong_counts += np.histogram(margins[-1][~correct], bins=edges)[0]
+        codes = _grid_codes(margins[-1], stop_levels, predictions[-1] != dataset.labels[samples])
+        tally += np.bincount(codes, minlength=tally.size)
         # freed before the next chunk's kernel runs, which would otherwise raise the peak
         del margins, predictions
-    return MarginHistogram(
-        bin_edges=edges, correct_counts=correct_counts, wrong_counts=wrong_counts
-    )
+    # row b >= 1 counts the margins with b edges at or below them, bin b - 1's
+    counts = tally.reshape(bins + 1, 2)[1:].T.copy()
+    return MarginHistogram(bin_edges=edges, correct_counts=counts[0], wrong_counts=counts[1])
 
 
 def _row(config: str, rep: EvaluationReport) -> SweepRow:
@@ -243,23 +255,27 @@ def flexible_sweep(
 
 
 def _write_csv(path, header: str, rows) -> None:
-    """Write the header line, then one line of comma-joined cells per row."""
-    lines = [header, *(",".join(cells) for cells in rows)]
-    write_atomic(path, "\n".join(lines) + "\n")
+    """Write the header line, then one line of comma-joined cells per row,
+    handing write_atomic one encoded line at a time."""
+    lines = itertools.chain([header], map(",".join, rows))
+    write_atomic(path, (f"{line}\n".encode("utf-8") for line in lines))
 
 
 def write_sweep_csv(path, rows: Sequence[SweepRow]) -> None:
+    """One line per row. No cell is quoted, so a config that holds a comma, a
+    double quote or a line break is refused before anything is written."""
     cells = []
     for r in rows:
+        if not _CSV_SPECIALS.isdisjoint(r.config):
+            raise ValueError(f"config {r.config!r} holds a comma, quote or line break")
         reals = (r.accuracy, r.avg_cost_ms, r.latency_ratio, r.error_increase, r.avg_models)
         cells.append((r.config, *map(format_real, reals)))
     _write_csv(path, SWEEP_CSV_HEADER, cells)
 
 
 def write_histogram_csv(path, histogram: MarginHistogram) -> None:
-    edges = histogram.bin_edges
-    cells = []
-    for i, (correct, wrong) in enumerate(zip(histogram.correct_counts, histogram.wrong_counts)):
-        bounds = (format_real(edges[i]), format_real(edges[i + 1]))
-        cells.append((*bounds, str(int(correct)), str(int(wrong))))
-    _write_csv(path, HISTOGRAM_CSV_HEADER, cells)
+    edges = itertools.pairwise(map(format_real, histogram.bin_edges))
+    counts = zip(map(int, histogram.correct_counts), map(int, histogram.wrong_counts))
+    _write_csv(path, HISTOGRAM_CSV_HEADER, (
+        (lo, hi, str(correct), str(wrong)) for (lo, hi), (correct, wrong) in zip(edges, counts)
+    ))

@@ -13,7 +13,6 @@ from flexens.calibration import (
     CalibrationObjective,
     GridSpec,
     ScheduleFile,
-    _grid_bins,
     _search,
     _stage_codes,
     calibrate,
@@ -24,6 +23,7 @@ from flexens.calibration import (
 from flexens.cascade_engine import (
     _CLASS_MAJOR_MAX_CLASSES,
     ThresholdSchedule,
+    _grid_codes,
     _stop_levels,
     full_ensemble_predictions,
     run_dataset,
@@ -343,16 +343,38 @@ class TestCalibrate:
 
 
 class TestBinnedSearch:
-    @pytest.mark.parametrize("step", [1.0, 0.5, 0.05, 0.01, 0.002, 0.001])
-    def test_bins_equal_searchsorted_on_and_beside_every_grid_value(self, step):
-        values = np.array(GridSpec(step).values())
+    # calibrate's grids, then margin_histogram's edges for as many bins
+    @pytest.mark.parametrize(
+        "step, bins",
+        [pytest.param(step, None, id=str(step)) for step in (1.0, 0.5, 0.05, 0.01, 0.002, 0.001)]
+        + [pytest.param(None, bins, id=f"bins_{bins}")
+           for bins in (1, 2, 3, 7, 50, 999, 1000, 10**6)],
+    )
+    def test_bins_equal_searchsorted_on_and_beside_every_grid_value(self, step, bins):
+        if bins is None:
+            values = np.array(GridSpec(step).values())
+            out = np.empty(3 * values.size, dtype=np.min_scalar_type(2 * values.size - 1))
+        else:
+            values, out = np.linspace(0.0, 1.0, bins + 1), None
         margins = np.concatenate([values, np.nextafter(values, -1), np.nextafter(values, 2)])
         margins = np.clip(margins, 0.0, 1.0)
         stop_levels = _stop_levels(values)
-        bins = np.empty(margins.size, dtype=np.min_scalar_type(values.size))
-        _grid_bins(margins, stop_levels, bins)
-        assert bins.tolist() == np.searchsorted(stop_levels, margins, side="right").tolist()
-        assert bins.dtype == (np.uint16 if values.size > 255 else np.uint8)
+        wrong = np.arange(margins.size) % 3 == 1
+        codes = _grid_codes(margins, stop_levels, wrong, out)
+        found = np.searchsorted(stop_levels, margins, side="right")
+        np.testing.assert_array_equal(codes, found * 2 + wrong)
+        if bins is None:
+            assert codes is out
+            assert codes.dtype == (np.uint16 if values.size > 128 else np.uint8)
+            return
+        # code b*2 + wrong puts a margin in histogram bin b - 1: np.histogram's,
+        # with the last bin closed, for the margins on, below and above the edges
+        for group in np.split(np.arange(margins.size), 3):
+            for weights in (None, group):  # the counts, then which margins make them up
+                expected = np.histogram(margins[group], bins=values, weights=weights)[0]
+                tally = np.bincount(codes[group] >> 1, weights=weights, minlength=bins + 1)
+                assert tally[0] == 0
+                np.testing.assert_array_equal(tally[1:], expected)
 
     @pytest.mark.parametrize("step", [0.05, 0.01, 0.001])
     @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -522,15 +544,23 @@ class TestScheduleFile:
             ({"alpha": 1.5}, "alpha must be in [0, 1], got 1.5"),
             ({"grid_step": 0.3}, "grid step 0.3 must divide [0, 1] evenly"),
             ({"grid_step": 5e-324}, "grid step 5e-324 must divide [0, 1] evenly"),
+            # bytes that are not UTF-8, written from the surrogates that stand for them
+            ({"calibration_data": "\udcff"},
+             "invalid JSON: 'utf-8' codec can't decode byte 0xff in position 57: "
+             "invalid start byte"),
+            ({"calibration_data": "caf\udce9"},  # Latin-1
+             "invalid JSON: 'utf-8' codec can't decode byte 0xe9 in position 60: "
+             "invalid continuation byte"),
         ],
         ids=["not_object", "alpha", "grid_step", "calibration_data", "huge_threshold",
              "huge_alpha", "huge_grid_step", "version_true", "version_float", "nan_alpha",
-             "infinite_grid_step", "alpha_above_one", "uneven_grid_step", "subnormal_grid_step"],
+             "infinite_grid_step", "alpha_above_one", "uneven_grid_step", "subnormal_grid_step",
+             "not_utf8", "latin1"],
     )
     def test_rejections_name_the_path(self, tmp_path, extra, message):
         path = tmp_path / "schedule.json"
         doc = [1] if extra is None else {"version": 1, "thresholds": [0.5], **extra}
-        path.write_text(json.dumps(doc))
+        path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8", "surrogateescape"))
         message = f"{path}: {message}"
         with pytest.raises(MalformedScheduleError, match=f"^{re.escape(message)}$"):
             load_schedule(path)

@@ -101,6 +101,10 @@ class TestRunSample:
         with pytest.raises(ScheduleMismatchError):
             run_sample([[1.0, 2.0], [1.0, 2.0]], ThresholdSchedule((0.5, 0.5)), [1.0, 1.0])
 
+    def test_rejects_zero_models_before_the_schedule(self):
+        with pytest.raises(DimensionMismatchError, match="^need at least 1 model$"):
+            run_sample(np.empty((0, 3)), ThresholdSchedule(()), [])
+
     def test_rejects_single_class(self):
         with pytest.raises(DimensionMismatchError, match="^need at least 2 classes$"):
             run_sample([[1.0], [2.0]], ThresholdSchedule((0.5,)), [1.0, 1.0])

@@ -240,6 +240,22 @@ class TestPipeline:
         )
         assert not report.exists()
 
+    @pytest.mark.parametrize("name", ["a,b", 'a"b', "a\nb", "a\rb"],
+                             ids=["comma", "quote", "line_feed", "carriage_return"])
+    def test_a_schedule_name_no_csv_cell_can_hold_exits_1(self, tmp_path, capsys, name):
+        # the report's config cell is the schedule file's stem
+        data = gen_dataset(tmp_path, "data")
+        schedule = tmp_path / f"{name}.json"
+        save_schedule(schedule, ThresholdSchedule.uniform(0.5, 3))
+        report = tmp_path / "report.csv"
+        capsys.readouterr()
+        assert main(["run", "--data", str(data), "--schedule", str(schedule),
+                     "--out", str(report)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: config {name!r} holds a comma, quote or line break\n"
+        )
+        assert sorted(tmp_path.iterdir()) == sorted([data, schedule])
+
     def test_calibrate_takes_no_same_split_opt_in(self, tmp_path, capsys):
         train = gen_dataset(tmp_path, "train")
         schedule = tmp_path / "schedule.json"

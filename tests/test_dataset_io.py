@@ -470,14 +470,22 @@ class TestLoadErrors:
             # an integer too large for a float
             (lambda doc: {**doc, "costs_ms": [10**400]}, "costs_ms must be a list of numbers"),
             (lambda doc: {**doc, "costs_ms": [1.0, 2.0]}, "expected 1 costs, found 2"),
+            # bytes that are not UTF-8, written from the surrogates that stand for them
+            (lambda doc: "\udcff",
+             "invalid JSON: 'utf-8' codec can't decode byte 0xff in position 1: "
+             "invalid start byte"),
+            (lambda doc: {"caf\udce9": doc},  # Latin-1
+             "invalid JSON: 'utf-8' codec can't decode byte 0xe9 in position 5: "
+             "invalid continuation byte"),
         ],
         ids=["not_object", "no_models", "no_samples", "logit_files_type", "logit_file_type",
              "logit_files_count", "label_file_type", "costs_type", "cost_type", "huge_cost",
-             "costs_count"],
+             "costs_count", "not_utf8", "latin1"],
     )
     def test_manifest_rejections_name_the_path(self, tmp_path, edit, message):
         manifest = _write_minimal_dir(tmp_path)
-        manifest.write_text(json.dumps(edit(json.loads(manifest.read_text()))))
+        doc = edit(json.loads(manifest.read_text()))
+        manifest.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8", "surrogateescape"))
         message = f"{manifest}: {message}"
         with pytest.raises(MalformedManifestError, match=f"^{re.escape(message)}$"):
             load_dataset(manifest)

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 import tracemalloc
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from flexens.errors import ValidationError
 from flexens.metrics_report import (
     HISTOGRAM_CSV_HEADER,
     SWEEP_CSV_HEADER,
+    MarginHistogram,
     SweepRow,
     _row,
     ensemble_size_sweep,
@@ -207,13 +209,15 @@ class TestScoreCounts:
 class TestMarginHistogram:
     def test_confident_correct_model_fills_top_bin(self):
         labels = np.array([0, 1, 2, 0], dtype=np.int64)
-        logits = np.zeros((1, 4, 3), np.float32)
-        logits[0, np.arange(4), labels] = 16.0
-        ds = EnsembleDataset(logits, labels, np.array([1.0]))
-        hist = margin_histogram(ds, ensemble_size=1, bins=10)
-        assert hist.correct_counts[-1] == 4
-        assert hist.correct_counts[:-1].sum() == 0
-        assert hist.wrong_counts.sum() == 0
+        # a gap of 40 rounds the margin to exactly 1.0, which the closed last bin holds
+        for gap in (16.0, 40.0):
+            logits = np.zeros((1, 4, 3), np.float32)
+            logits[0, np.arange(4), labels] = gap
+            ds = EnsembleDataset(logits, labels, np.array([1.0]))
+            hist = margin_histogram(ds, ensemble_size=1, bins=10)
+            assert hist.correct_counts[-1] == 4
+            assert hist.correct_counts[:-1].sum() == 0
+            assert hist.wrong_counts.sum() == 0
 
     def test_all_zero_logits_pile_into_first_bin(self):
         labels = np.array([0, 1], dtype=np.int64)
@@ -417,6 +421,32 @@ class TestCsvOutput:
             b"config,accuracy,avg_cost_ms,R,E,avg_models\n"
             b"calibr\xc3\xa9,0.5,1.25,0.75,-0.125,2\n"
         )
+
+    @pytest.mark.parametrize("config", ["a,b", 'say "b"', "a\nb", "a\r"],
+                             ids=["comma", "quote", "line_feed", "carriage_return"])
+    def test_a_config_no_csv_cell_can_hold_is_refused(self, tmp_path, config):
+        rows = [SweepRow(name, 0.5, 1.25, 0.75, -0.125, 2.0) for name in ("fine", config)]
+        message = f"config {config!r} holds a comma, quote or line break"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            write_sweep_csv(tmp_path / "r.csv", rows)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_histogram_csv_is_written_a_line_at_a_time(self, tmp_path):
+        # built as one string, 10**5 rows took 45 MB of cells, lines, text and bytes
+        bins = 10**5
+        counts = np.random.default_rng(9).integers(0, 10**6, (2, bins))
+        hist = MarginHistogram(np.linspace(0.0, 1.0, bins + 1), *counts)
+        path = tmp_path / "h.csv"
+        tracemalloc.start()
+        try:
+            write_histogram_csv(path, hist)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        lines = path.read_text().splitlines()
+        assert len(lines) == bins + 1
+        assert lines[-1] == f"0.99999,1,{counts[0, -1]},{counts[1, -1]}"
 
     def test_histogram_csv_layout(self, tmp_path, dataset_factory):
         ds = dataset_factory(np.random.default_rng(8))
