@@ -166,6 +166,8 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_run(args) -> int:
+    config = Path(args.schedule).stem  # the report's config cell, refused before any scoring
+    metrics_report._check_config(config)
     schedule_file = calibration.load_schedule(args.schedule)
     if schedule_file.calibration_data == os.path.realpath(args.data) and not args.allow_same_split:
         raise ValidationError(
@@ -173,9 +175,7 @@ def _cmd_run(args) -> int:
             "held-out split or pass --allow-same-split"
         )
     dataset = _open_data_dir(args.data)
-    rows = metrics_report.flexible_sweep(
-        dataset, [(Path(args.schedule).stem, schedule_file.schedule)]
-    )
+    rows = metrics_report.flexible_sweep(dataset, [(config, schedule_file.schedule)])
     metrics_report.write_sweep_csv(args.out, rows)
     row = rows[0]
     print(

@@ -23,8 +23,9 @@ sweep in the same pass. Counts add exactly, so their results equal the
 tabled route's. margin_histogram places margins among its edges by the
 function calibrate places them among its candidates by,
 cascade_engine._grid_codes, so a histogram bin and a calibration bin follow
-one rule. Every CSV is written atomically and a line at a time, so writing
-one holds a line of text, whatever the file's length.
+one rule. Every CSV is written atomically and a block of lines at a time
+(a histogram's 1024 bins, a sweep's one row), so writing one holds a block
+of text, whatever the file's length.
 """
 
 from __future__ import annotations
@@ -48,6 +49,8 @@ SWEEP_CSV_HEADER = "config,accuracy,avg_cost_ms,R,E,avg_models"
 HISTOGRAM_CSV_HEADER = "bin_lo,bin_hi,correct,wrong"
 # characters no unquoted CSV cell may hold
 _CSV_SPECIALS = frozenset(',"\r\n')
+# histogram lines formatted, encoded and written at a time
+_CSV_BLOCK_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -254,11 +257,18 @@ def flexible_sweep(
     ]
 
 
-def _write_csv(path, header: str, rows) -> None:
-    """Write the header line, then one line of comma-joined cells per row,
-    handing write_atomic one encoded line at a time."""
-    lines = itertools.chain([header], map(",".join, rows))
-    write_atomic(path, (f"{line}\n".encode("utf-8") for line in lines))
+def _write_csv(path, header: str, blocks) -> None:
+    """Write the header line, then each block of whole lines, handing
+    write_atomic one encoded block at a time."""
+    texts = itertools.chain([f"{header}\n"], blocks)
+    write_atomic(path, (text.encode("utf-8") for text in texts))
+
+
+def _check_config(config: str) -> None:
+    """Refuse a config no unquoted CSV cell can hold: one with a comma, a double
+    quote or a line break."""
+    if not _CSV_SPECIALS.isdisjoint(config):
+        raise ValueError(f"config {config!r} holds a comma, quote or line break")
 
 
 def write_sweep_csv(path, rows: Sequence[SweepRow]) -> None:
@@ -266,16 +276,24 @@ def write_sweep_csv(path, rows: Sequence[SweepRow]) -> None:
     double quote or a line break is refused before anything is written."""
     cells = []
     for r in rows:
-        if not _CSV_SPECIALS.isdisjoint(r.config):
-            raise ValueError(f"config {r.config!r} holds a comma, quote or line break")
+        _check_config(r.config)
         reals = (r.accuracy, r.avg_cost_ms, r.latency_ratio, r.error_increase, r.avg_models)
         cells.append((r.config, *map(format_real, reals)))
-    _write_csv(path, SWEEP_CSV_HEADER, cells)
+    _write_csv(path, SWEEP_CSV_HEADER, (",".join(row) + "\n" for row in cells))
 
 
 def write_histogram_csv(path, histogram: MarginHistogram) -> None:
-    edges = itertools.pairwise(map(format_real, histogram.bin_edges))
-    counts = zip(map(int, histogram.correct_counts), map(int, histogram.wrong_counts))
-    _write_csv(path, HISTOGRAM_CSV_HEADER, (
-        (lo, hi, str(correct), str(wrong)) for (lo, hi), (correct, wrong) in zip(edges, counts)
-    ))
+    """One line per bin, written _CSV_BLOCK_ROWS lines at a time, so memory stays
+    bounded whatever the bin count. Each block's edges and counts become Python
+    scalars in one conversion, and each edge is formatted once, a block's last
+    again as the next block's first."""
+    edges, correct, wrong = histogram.bin_edges, histogram.correct_counts, histogram.wrong_counts
+
+    def blocks():
+        for first in range(0, len(correct), _CSV_BLOCK_ROWS):
+            rows = slice(first, first + _CSV_BLOCK_ROWS)
+            cuts = list(map(format_real, np.asarray(edges[first : rows.stop + 1], float).tolist()))
+            counts = (np.asarray(c[rows], int).tolist() for c in (correct, wrong))
+            yield "".join(map("{},{},{},{}\n".format, cuts, cuts[1:], *counts))
+
+    _write_csv(path, HISTOGRAM_CSV_HEADER, blocks())

@@ -45,8 +45,16 @@ at a time:
   after them, an even number in each window, are made _BLOCK_VALUES at a
   time: Box-Muller over the block's pairs, then float32 logits in chunks that
   never cross a model, as x *= sigma then x += base;
-- math.log1p, math.cos and math.sin are called once per value, since numpy's
-  SIMD versions may round differently.
+- transcendentals: the definition's log1p, cos and sin are libm's, as math
+  calls them. A block takes numpy's, whose SIMD versions may differ from
+  libm's in a float64's last bits, and runs the same chain. Such a difference
+  can change a logit's float32 rounding only if its float64 value lies within
+  sigma * (|noise| * 2**-36 + radius * 2**-48) + |x| * 2**-48 of a float32
+  rounding midpoint; those values, about 0.04%, are made again through math
+  and the same chain, so every float32 is libm's. That bound holds while
+  numpy's log1p is within a relative 2**-38 of libm's and its cos and sin
+  within an absolute 2**-50. Once per process a guard checks this on a fixed
+  probe; if it fails, every value of that process comes from math.
 
 save_generated streams the chunks into the payload files, so gen holds 12
 bytes per sample ('<u4' labels, written as they are, and float64 signals),
@@ -56,6 +64,7 @@ about 43 MB of RSS at N = 7, M = 1e6, C = 10.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
@@ -236,6 +245,38 @@ def _each(func, values: np.ndarray) -> np.ndarray:
     return np.fromiter(map(func, memoryview(values)), dtype=np.float64, count=values.size)
 
 
+_LIBM = tuple(functools.partial(_each, func) for func in (math.log1p, math.cos, math.sin))
+
+
+def _within(fast, reference, probe: np.ndarray, relative=0.0, absolute=0.0) -> bool:
+    """Whether fast(probe) lies within absolute + relative * |reference(probe)| of
+    reference(probe) at every value (at 0 and 0, equal to it): a fast path's check
+    against the reference it stands in for, made before a process trusts it."""
+    want = reference(probe)
+    return bool(np.all(np.abs(fast(probe) - want) <= absolute + relative * np.abs(want)))
+
+
+@functools.cache
+def _numpy_within_bounds() -> bool:
+    """Whether numpy's log1p, cos and sin keep to the bounds the float32 check in
+    _normal_chunks assumes of them, a relative 2**-38 and an absolute 2**-50 of
+    libm's, on a fixed probe. Checked once per process; if they do not, every block
+    takes libm's values."""
+    quarters = np.array([0.25, 0.5, 0.75])  # u2 at and beside the zeros of cos and sin
+    u = np.concatenate([
+        np.fromiter(iter(Xoshiro256PlusPlus(0).next_float, None), np.float64, count=2048),
+        [0.0, 2.0**-53, 1.0 - 2.0**-53],  # u1 = 0 and u1 next to 0 and 1
+        quarters, np.nextafter(quarters, 0.0), np.nextafter(quarters, 1.0),
+    ])
+    angle = _TWO_PI * u
+    log1p, cos, sin = _LIBM
+    return (
+        _within(np.log1p, log1p, -u, relative=2.0**-38)
+        and _within(np.cos, cos, angle, absolute=2.0**-50)
+        and _within(np.sin, sin, angle, absolute=2.0**-50)
+    )
+
+
 @dataclass(frozen=True)
 class SynthConfig:
     """Parameters of the synthetic generator; costs_ms=None means DEFAULT_COST_MS per model."""
@@ -314,28 +355,58 @@ def _normal_chunks(config, labels, signal, normals, done) -> Iterator[tuple[int,
     `done`, `done` + 1, ... of the stream."""
     c, sigma = config.num_classes, config.noise_sigma
     per_model = config.num_samples * c
+    fast = _numpy_within_bounds()
+    log1p, cos, sin = (np.log1p, np.cos, np.sin) if fast else _LIBM
     for first in range(0, normals.size, _BLOCK_VALUES):
         block = normals[first : first + _BLOCK_VALUES]  # each (u1, u2) pair becomes its two normals
         # 1 - u1 is in (0, 1], so the radius is finite
-        radius = np.sqrt(-2.0 * _each(math.log1p, -block[0::2]))
-        angle = _TWO_PI * block[1::2]
-        block[0::2] = radius * _each(math.cos, angle)
-        block[1::2] = radius * _each(math.sin, angle)
+        neg_u1, angle = -block[0::2], _TWO_PI * block[1::2]
+        radius = np.sqrt(-2.0 * log1p(neg_u1))
+        block[0::2] = radius * cos(angle)
+        block[1::2] = radius * sin(angle)
+        if fast:  # the noise terms of the bound in the module docs; |x|'s follows the sums
+            tol = np.abs(block)
+            tol *= sigma * 2**-36
+            tol.reshape(-1, 2)[:] += (radius * (sigma * 2**-48))[:, np.newaxis]  # both of a pair
+        at = 0
         # a pair may straddle two models; an odd count's last sine is discarded
-        while block.size and done < config.num_models * per_model:
+        while at < block.size and done < config.num_models * per_model:
             model, start = divmod(done, per_model)
-            x = block[: per_model - start]
-            block = block[x.size :]
-            done += x.size
+            x = block[at : at + per_model - start]
             # the same sums as base + sigma * noise; an overflow is inf, which the check reports
-            with np.errstate(over="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
                 x *= sigma
-                x += _base(labels, signal, c, start, x.size)
+                base = _base(labels, signal, c, start, x.size)
+                x += base
+                if fast:
+                    near = tol[at : at + x.size]
+                    near += np.abs(x) * 2**-48
+                    redo = _near_midpoint(x, near)
+                    x[redo] = _libm_normals(neg_u1, angle, at + redo) * sigma + base[redo]
                 chunk = x.astype("<f4")
             bad = _nonfinite_at(chunk)
             if bad is not None:
                 raise NonFiniteLogitError(model, *divmod(start + bad[0], c))
             yield model, start, chunk
+            at += x.size
+            done += x.size
+
+
+def _near_midpoint(x: np.ndarray, tol: np.ndarray) -> np.ndarray:
+    """The indices of the values of `x` that a change of at most `tol` could move to
+    another float32; `tol` is spent. Rounding is monotone, so where x - tol and
+    x + tol round alike every value between them does; an inf or nan x is always
+    among them."""
+    low = (x - tol).astype(np.float32)
+    tol += x
+    return np.flatnonzero(low != tol.astype(np.float32))
+
+
+def _libm_normals(neg_u1: np.ndarray, angle: np.ndarray, at: np.ndarray) -> np.ndarray:
+    """The normals at block offsets `at`, made by math.log1p, math.cos and math.sin."""
+    pair = at // 2
+    radius = np.sqrt(-2.0 * _each(math.log1p, neg_u1[pair]))
+    return radius * np.where(at % 2, _each(math.sin, angle[pair]), _each(math.cos, angle[pair]))
 
 
 def _base(labels, signal, num_classes, start, size) -> np.ndarray:

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from flexens import dataset_io, metrics_report
 from flexens.calibration import save_schedule
 from flexens.cascade_engine import ThresholdSchedule
 from flexens.cli import main
@@ -255,6 +256,23 @@ class TestPipeline:
             f"error: config {name!r} holds a comma, quote or line break\n"
         )
         assert sorted(tmp_path.iterdir()) == sorted([data, schedule])
+
+    def test_a_schedule_name_no_csv_cell_can_hold_is_refused_before_scoring(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        data = gen_dataset(tmp_path, "data")
+        schedule = tmp_path / "a,b.json"
+        save_schedule(schedule, ThresholdSchedule.uniform(0.5, 3))
+
+        def never(*args, **kwargs):
+            raise AssertionError("the dataset was opened or scored")
+
+        monkeypatch.setattr(metrics_report, "flexible_sweep", never)
+        monkeypatch.setattr(dataset_io, "open_dataset", never)
+        capsys.readouterr()
+        assert main(["run", "--data", str(data), "--schedule", str(schedule),
+                     "--out", str(tmp_path / "report.csv")]) == 1
+        assert capsys.readouterr().err == "error: config 'a,b' holds a comma, quote or line break\n"
 
     def test_calibrate_takes_no_same_split_opt_in(self, tmp_path, capsys):
         train = gen_dataset(tmp_path, "train")

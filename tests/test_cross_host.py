@@ -10,8 +10,10 @@ OpenBLAS's kernels, so Haswell and Prescott stand in for CPUs other than
 this one, NPY_ENABLE_CPU_FEATURES=X86_V3 switches off numpy's AVX-512
 loops, among them the sort path of the np.partition from which
 cascade_engine._top_two takes the top two of run_sample and of the row
-kernel's near ties, and GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA,-AVX2 makes
-glibc pick its non-FMA log1p, cos and sin, which gen calls once per value.
+kernel's near ties, and the log1p, cos and sin loops gen takes first, and
+GLIBC_TUNABLES=glibc.cpu.hwcaps=-FMA,-AVX2 makes glibc pick its non-FMA
+log1p, cos and sin, which gen calls for the values numpy's could round to
+another float32, and for every value if numpy fails gen's guard.
 Every setting must give the default's thresholds, CLI stdout, CSV bytes,
 the bytes of every file gen wrote, stage predictions, per-sample exit
 stages, run_sample's exit stages and predictions, and every
@@ -98,7 +100,8 @@ print(json.dumps({
     "exit_stages": exit_stages,
     "single_samples": single_samples,
     "reports": reports,
-    # gen's bytes rest on libm's log1p, cos and sin
+    # gen's bytes rest on libm's log1p, cos and sin wherever numpy's could round
+    # to another float32, and on numpy's staying within the bounds its guard checks
     "files": {
         str(path): hashlib.sha256(path.read_bytes()).hexdigest()
         for name in ("data", "wide") for path in sorted(pathlib.Path(name).iterdir())

@@ -10,6 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import chunk_step
+from flexens import metrics_report
 from flexens.calibration import calibrate, evaluate_objective, save_schedule
 from flexens.cascade_engine import (
     _CLASS_MAJOR_MAX_CLASSES,
@@ -447,6 +448,25 @@ class TestCsvOutput:
         lines = path.read_text().splitlines()
         assert len(lines) == bins + 1
         assert lines[-1] == f"0.99999,1,{counts[0, -1]},{counts[1, -1]}"
+
+    @pytest.mark.parametrize("block_rows", [2, None])  # blocks that cut the rows; the default
+    @pytest.mark.parametrize("bins", [3, 7])
+    def test_histogram_csv_equals_one_scalar_at_a_time(
+        self, tmp_path, monkeypatch, dataset_factory, bins, block_rows
+    ):
+        # linspace edges at 3 and 7 bins have digits beyond format_real's six
+        if block_rows is not None:
+            monkeypatch.setattr(metrics_report, "_CSV_BLOCK_ROWS", block_rows)
+        hist = margin_histogram(dataset_factory(np.random.default_rng(bins)), 1, bins=bins)
+        edges = hist.bin_edges
+        expected = "".join(
+            f"{format_real(lo)},{format_real(hi)},{int(c)},{int(w)}\n"
+            for lo, hi, c, w in zip(edges[:-1], edges[1:], hist.correct_counts, hist.wrong_counts)
+        )
+        path = tmp_path / "h.csv"
+        write_histogram_csv(path, hist)
+        assert path.read_text() == f"{HISTOGRAM_CSV_HEADER}\n{expected}"
+        assert "0.333333,0.666667," in expected or "0.142857,0.285714," in expected
 
     def test_histogram_csv_layout(self, tmp_path, dataset_factory):
         ds = dataset_factory(np.random.default_rng(8))

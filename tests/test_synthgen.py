@@ -35,6 +35,10 @@ PINNED_GENERATE = {
 }
 
 
+def digest(ds: EnsembleDataset) -> str:
+    return hashlib.sha256(ds.logits.tobytes() + ds.labels.tobytes()).hexdigest()
+
+
 def scalar_words(seed: int, count: int) -> list[int]:
     rng = Xoshiro256PlusPlus(seed)
     return [rng.next_uint64() for _ in range(count)]
@@ -112,8 +116,7 @@ class TestPinnedBytes:
             ds = request.getfixturevalue("seed42_dataset")
         else:
             ds = generate(SynthConfig(num_models=n, num_samples=m, num_classes=c, seed=seed))
-        digest = hashlib.sha256(ds.logits.tobytes() + ds.labels.tobytes()).hexdigest()
-        assert digest == PINNED_GENERATE[(n, m, c, seed)]
+        assert digest(ds) == PINNED_GENERATE[(n, m, c, seed)]
 
     def test_tensor_is_adopted_without_a_copy(self, monkeypatch):
         handed = []
@@ -336,6 +339,141 @@ class TestStreamedGen:
     def test_returns_the_manifest_of_save_dataset(self, tmp_path):
         config = SynthConfig(2, 30, 3, 4)
         assert save_generated(config, tmp_path / "a") == save_dataset(generate(config), tmp_path / "b")
+
+
+def scaled_log1p(scale: float):
+    """np.log1p with its results scaled by 1 + scale and 1 - scale in turn."""
+    log1p = np.log1p
+
+    def perturbed(values):
+        out = log1p(values)
+        out[0::2] *= 1.0 + scale
+        out[1::2] *= 1.0 - scale
+        return out
+
+    return perturbed
+
+
+@pytest.fixture
+def fresh_guard():
+    """The numpy-against-libm guard, checked again in the test and after it."""
+    synthgen._numpy_within_bounds.cache_clear()
+    yield synthgen._numpy_within_bounds
+    synthgen._numpy_within_bounds.cache_clear()
+
+
+class TestFastTranscendentals:
+    """numpy's log1p, cos and sin, with the values a float32 cast could tell from
+    libm's made again by libm, or libm for every value if numpy fails the guard."""
+
+    @pytest.mark.parametrize("n,m,c,seed", list(PINNED_GENERATE))
+    def test_log1p_within_the_tolerance_is_mended_by_the_recompute(
+        self, monkeypatch, fresh_guard, n, m, c, seed
+    ):
+        monkeypatch.setattr(np, "log1p", scaled_log1p(1e-12))
+        checked = []
+        near_midpoint = synthgen._near_midpoint
+
+        def spy(x, tol):
+            checked.append(x.size)
+            return near_midpoint(x, tol)
+
+        monkeypatch.setattr(synthgen, "_near_midpoint", spy)
+        assert digest(generate(SynthConfig(n, m, c, seed))) == PINNED_GENERATE[(n, m, c, seed)]
+        assert fresh_guard() and sum(checked) == n * m * c  # every value took the fast path
+
+    def test_the_recompute_is_what_keeps_the_bytes(self, monkeypatch, fresh_guard):
+        # the same perturbation with nothing redone moves bytes, so the test above gates
+        monkeypatch.setattr(np, "log1p", scaled_log1p(1e-12))
+        monkeypatch.setattr(synthgen, "_near_midpoint", lambda x, tol: np.empty(0, np.intp))
+        key = (7, 10000, 10, 42)
+        assert digest(generate(SynthConfig(*key))) != PINNED_GENERATE[key]
+
+    @pytest.mark.parametrize("n,m,c,seed", list(PINNED_GENERATE))
+    def test_log1p_beyond_the_bound_trips_the_guard(self, monkeypatch, fresh_guard, n, m, c, seed):
+        monkeypatch.setattr(np, "log1p", scaled_log1p(1e-8))
+        checked = []
+        monkeypatch.setattr(synthgen, "_near_midpoint", lambda x, tol: checked.append(x))
+        assert digest(generate(SynthConfig(n, m, c, seed))) == PINNED_GENERATE[(n, m, c, seed)]
+        assert not fresh_guard() and not checked  # every value came from libm
+
+    @pytest.mark.parametrize("func", ["cos", "sin"])
+    def test_trig_beyond_the_bound_trips_the_guard(self, monkeypatch, fresh_guard, func):
+        trig = getattr(np, func)
+        monkeypatch.setattr(np, func, lambda values: trig(values) + 2.0**-48)
+        assert not fresh_guard()
+
+    def test_trig_within_the_bound_is_mended_near_its_zeros(self, monkeypatch, fresh_guard):
+        # angles within 2**-26 of a zero of cos or sin, where the logit is tiny and an
+        # absolute error of 2**-51 moves its float32 by many ulps: the radius term's case
+        pairs = 4096
+        u1 = (np.arange(pairs) + 0.5) / pairs
+        u2 = np.repeat([0.0, 0.25, 0.5, 0.75], pairs // 4) + np.arange(1, pairs + 1) * 2.0**-40
+        radius = [math.sqrt(-2.0 * math.log1p(-u)) for u in u1]
+        angle = [2.0 * math.pi * u for u in u2]
+        expected = np.array(
+            [(r * math.cos(a), r * math.sin(a)) for r, a in zip(radius, angle)], np.float32
+        ).reshape(-1)
+        for name in ("cos", "sin"):
+            monkeypatch.setattr(np, name, lambda values, func=getattr(np, name): func(values) + 2.0**-51)
+        moved = np.column_stack([np.cos(angle), np.sin(angle)]) * np.array(radius)[:, np.newaxis]
+        assert np.count_nonzero(moved.reshape(-1).astype(np.float32) != expected) > pairs // 2
+        config = SynthConfig(1, pairs, 2, 0)
+        normals = np.column_stack([u1, u2]).reshape(-1)
+        labels, signal = np.zeros(pairs, "<u4"), np.zeros(pairs)
+        chunks = synthgen._normal_chunks(config, labels, signal, normals, 0)
+        assert np.concatenate([chunk for _, _, chunk in chunks]).tobytes() == expected.tobytes()
+        assert fresh_guard()
+
+    @pytest.mark.parametrize(
+        "n,m,c,seed,block",
+        [
+            (3, 19, 3, 6, 8),  # a pair straddling two models ends a block
+            (3, 21, 3, 6, 8),  # a pair straddling two models starts a block
+            (3, 101, 7, 2**64 - 1, 8),  # an odd normal count
+            (3, 1001, 7, 5, synthgen._BLOCK_VALUES),
+            (7, 10000, 10, 42, synthgen._BLOCK_VALUES),
+        ],
+    )
+    def test_flagged_values_at_block_edges(self, monkeypatch, n, m, c, seed, block):
+        # every block's first and last pair get a wrong radius from numpy and are
+        # flagged, so only a recompute that finds each pair gives the bytes
+        monkeypatch.setattr(synthgen, "_BLOCK_VALUES", block)
+        monkeypatch.setattr(synthgen, "_numpy_within_bounds", lambda: True)
+        log1p = np.log1p
+
+        def wrong_ends(values):
+            out = log1p(values)
+            out[[0, -1]] *= 2.0
+            return out
+
+        near_midpoint = synthgen._near_midpoint
+
+        def flag_ends(x, tol):
+            ends = np.clip([0, 1, x.size - 2, x.size - 1], 0, x.size - 1)
+            return np.union1d(near_midpoint(x, tol), ends)
+
+        monkeypatch.setattr(np, "log1p", wrong_ends)
+        monkeypatch.setattr(synthgen, "_near_midpoint", flag_ends)
+        logits, labels = scalar_generate(n, m, c, seed)
+        generated = generate(SynthConfig(n, m, c, seed))
+        assert generated.logits.tobytes() == logits.tobytes()
+        np.testing.assert_array_equal(generated.labels, labels)
+
+    # at 1e38 the first |noise| beyond 3.4 overflows the float32 cast, at model 1;
+    # at 1e308 every noise does, and the float64 product too beyond 1.8
+    @pytest.mark.parametrize("sigma,first", [(1e38, (1, 39, 0)), (1e308, (0, 0, 0))])
+    def test_overflow_is_refused_where_libm_puts_it(self, monkeypatch, sigma, first):
+        config = SynthConfig(2, 40, 3, 0, noise_sigma=sigma)
+        with np.errstate(over="ignore"):
+            logits, _ = scalar_generate(2, 40, 3, 0, sigma=sigma)
+        assert tuple(np.argwhere(~np.isfinite(logits))[0]) == first
+        where = f"model={first[0]}, sample={first[1]}, class={first[2]}"
+        with pytest.raises(NonFiniteLogitError, match=where):
+            generate(config)
+        monkeypatch.setattr(synthgen, "_numpy_within_bounds", lambda: False)
+        with pytest.raises(NonFiniteLogitError, match=where):
+            generate(config)
 
 
 class TestZeroNoise:
