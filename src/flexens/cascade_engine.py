@@ -29,22 +29,23 @@ it rests on: a threshold of 1.0 stops nothing. Stage k depends
 only on models 1..k, so a pass over the first k models gives the first k
 stages of the full one.
 
-Two kernels compute the same bytes from a chunk's running logit sums. The
-definition is the softmax of the running mean, then its top two: divide the
-sums by k, subtract the row max, exp, divide by the row sum, and take the
-argmax, its value and the largest other value counted with multiplicity.
-Both kernels are checked against that definition, written out plainly in
-the tests. The row kernel, _prefix_stage_stats, holds each sample's classes
-in one contiguous row and reduces along it; it divides only the two values
-it keeps by the row sum, which is exact where the margin is positive, and
-recomputes the near ties where it is not. numpy pays a per-row loop
-overhead for each of its reductions, which dominates when the row is
-short. So up to _CLASS_MAJOR_MAX_CLASSES classes stage_tables lays each
-chunk out class-major, (N, C, n), for _class_major_stage_stats, whose
-every step is elementwise over all n samples at once; its class sum replays
-numpy's pairwise_sum, the order .sum(axis=-1) adds a row of up to 128 values
-in, so no bit changes. The row kernel stays for wide C, where its reductions
-are cheap and the class-major kernel's C-long loops of numpy calls are not.
+The definition is the softmax of the running mean, then its top two: divide
+the running logit sums by k, subtract the row max, exp, divide by the row
+sum, and take the argmax, its value and the largest other value counted with
+multiplicity. _stage_chunks takes the first step, the one division by k, and
+two kernels compute the same bytes from the running means it gives them.
+Both are checked against that definition, written out plainly in the tests.
+The row kernel, _prefix_stage_stats, holds each sample's classes in one
+contiguous row and reduces along it; it divides only the two values it keeps
+by the row sum, which is exact where the margin is positive, and recomputes
+the near ties where it is not. numpy pays a per-row loop overhead for each
+of its reductions, which dominates when the row is short. So up to
+_CLASS_MAJOR_MAX_CLASSES classes stage_tables lays each chunk out
+class-major, (N, C, n), for _class_major_stage_stats, whose every step is
+elementwise over all n samples at once; its class sum replays numpy's
+pairwise_sum, the order .sum(axis=-1) adds a row of up to 128 values in, so
+no bit changes. The row kernel stays for wide C, where its reductions are
+cheap and the class-major kernel's C-long loops of numpy calls are not.
 Either way a sample's results do not depend on which other samples share its
 chunk, so chunking changes no output bit.
 
@@ -173,10 +174,10 @@ def _top_two(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _prefix_stage_stats(prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Margins and predictions of every stage from float64 running logit sums.
+    """Margins and predictions of every stage from float64 running logit means.
 
     The row kernel. prefix is (num_models, n, num_classes) with prefix[k] the
-    sum of the first k+1 models' logits; it is overwritten. Both results are
+    mean of the first k+1 models' logits; it is overwritten. Both results are
     (num_models, n). Every reduction runs along one row's class axis, so a
     sample's results do not depend on which other samples share the call. It
     serves wide class axes.
@@ -193,7 +194,6 @@ def _prefix_stage_stats(prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     _top_two, as the definition does.
     """
     num_models, num_samples, num_classes = prefix.shape
-    prefix[1:] /= np.arange(2, num_models + 1, dtype=np.float64)[:, None, None]
     rows = prefix.reshape(-1, num_classes)
     best = rows.argmax(axis=1)
     flat = best + np.arange(0, rows.size, num_classes)
@@ -265,7 +265,7 @@ def _pairwise_tree(rows, first: int, width: int, stop: int, out, spare):
 
 
 def _class_major_stage_stats(prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """_prefix_stage_stats' results from class-major running sums, bit for bit.
+    """_prefix_stage_stats' results from class-major running means, bit for bit.
 
     prefix is (num_models, num_classes, n), the row kernel's input with its
     last two axes swapped; it is overwritten. It follows the definition step
@@ -275,8 +275,7 @@ def _class_major_stage_stats(prefix: np.ndarray) -> tuple[np.ndarray, np.ndarray
     prediction is the first class equal to the top, and the sum replays
     numpy's pairwise_sum. Its working memory is four (num_models, n) arrays.
     """
-    num_models, num_classes, _ = prefix.shape
-    prefix[1:] /= np.arange(2, num_models + 1, dtype=np.float64)[:, None, None]
+    num_classes = prefix.shape[1]
     top = np.maximum.reduce(prefix, axis=1)
     prefix -= top[:, None]
     np.exp(prefix, out=prefix)
@@ -311,8 +310,10 @@ def _stage_chunks(
     """Yield (samples, margins, predictions) of the first num_models stages, a
     chunk of samples at a time, margins and predictions (num_models, n).
 
-    Each model's rows are added into the running sums as they are read, and
-    the kernel runs once the last of the first num_models models is in. Only
+    Each model's rows are added into the running sums as they are read. Once
+    the last of the first num_models models is in, the sums of stage k are
+    divided by k, the one division of the definition's first step, and the
+    kernel runs on those running means. Only
     the samples below stop (default all) are yielded, and the kernel runs only
     on the chunks that hold them, but every model's rows of every chunk are
     still read, so a DatasetFiles pass checks all of them; it raises at its
@@ -335,7 +336,8 @@ def _stage_chunks(
         # the same sequential order as np.cumsum(axis=0), several times faster here
         if model:
             prefix[model] += prefix[model - 1]
-        if model == num_models - 1:
+        if model == num_models - 1:  # the running means, which both kernels take
+            prefix[1:] /= np.arange(2, num_models + 1, dtype=np.float64)[:, None, None]
             yield samples, *kernel(prefix)
 
 

@@ -15,7 +15,9 @@ then renamed over it. A symlinked --out is followed: the file it resolves
 to is replaced from a temporary file in that file's directory, and the link
 stays. An --out that exists but is not a regular file (a directory, a FIFO,
 a device such as /dev/null) is refused with exit 1 before anything is
-written.
+written. So is an --out that is one of the command's input files, the
+manifest, a payload or run's --schedule, also through a link; it is refused
+before any scoring.
 """
 
 from __future__ import annotations
@@ -107,9 +109,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _open_data_dir(directory: str) -> dataset_io.DatasetFiles:
+def _open_data_dir(directory: str, out=None, *inputs) -> dataset_io.DatasetFiles:
+    """Open a dataset directory, and refuse an --out that is one of the command's
+    input files: the manifest, a payload or one of `inputs`, by os.path.samefile,
+    so a link to one counts too."""
     # commands stream the logits from the payloads, never holding the (N, M, C) tensor
-    return dataset_io.open_dataset(Path(directory) / MANIFEST_NAME)
+    dataset = dataset_io.open_dataset(Path(directory) / MANIFEST_NAME)
+    inputs += (Path(directory) / MANIFEST_NAME, *dataset.logit_paths, dataset.label_path)
+    if out is not None and os.path.exists(out) and any(os.path.samefile(out, p) for p in inputs):
+        raise ValidationError(f"--out {out} is one of the command's inputs")
+    return dataset
 
 
 def _cmd_gen(args) -> int:
@@ -141,7 +150,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_baseline(args) -> int:
-    dataset = _open_data_dir(args.data)
+    dataset = _open_data_dir(args.data, args.out)
     rows = metrics_report.ensemble_size_sweep(dataset)
     metrics_report.write_sweep_csv(args.out, rows)
     print(f"wrote {args.out} ({len(rows)} rows)")
@@ -149,7 +158,7 @@ def _cmd_baseline(args) -> int:
 
 
 def _cmd_calibrate(args) -> int:
-    dataset = _open_data_dir(args.data)
+    dataset = _open_data_dir(args.data, args.out)
     schedule = calibration.calibrate(
         dataset, alpha=args.alpha, grid=calibration.GridSpec(step=args.grid_step)
     )
@@ -174,7 +183,7 @@ def _cmd_run(args) -> int:
             f"{args.data} is the split this schedule was calibrated on; evaluate on a "
             "held-out split or pass --allow-same-split"
         )
-    dataset = _open_data_dir(args.data)
+    dataset = _open_data_dir(args.data, args.out, args.schedule)
     rows = metrics_report.flexible_sweep(dataset, [(config, schedule_file.schedule)])
     metrics_report.write_sweep_csv(args.out, rows)
     row = rows[0]
@@ -188,7 +197,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_histogram(args) -> int:
-    dataset = _open_data_dir(args.data)
+    dataset = _open_data_dir(args.data, args.out)
     histogram = metrics_report.margin_histogram(
         dataset, ensemble_size=args.ensemble_size, bins=args.bins, limit=args.limit
     )

@@ -513,6 +513,7 @@ class DatasetFiles:
     num_samples: int
     num_classes: int
     logit_paths: tuple[Path, ...]
+    label_path: Path
     labels: np.ndarray  # (num_samples,) u32 as stored, frozen
     costs_ms: np.ndarray  # (num_models,) float64, frozen
 
@@ -557,13 +558,13 @@ def open_dataset(manifest_path) -> DatasetFiles:
     for logit_path in logit_paths:
         with _open_payload(logit_path, LOGIT_MAGIC, shape):
             pass
-    labels = np.empty(manifest.num_samples, dtype="<u4")
-    with _open_payload(path.parent / manifest.label_file, LABEL_MAGIC, labels.shape) as read:
+    label_path, labels = path.parent / manifest.label_file, np.empty(shape[0], dtype="<u4")
+    with _open_payload(label_path, LABEL_MAGIC, labels.shape) as read:
         read(labels)
     costs = np.array(manifest.costs_ms, dtype=np.float64)
     for arr in (labels, costs):
         arr.setflags(write=False)
-    return DatasetFiles(manifest.num_models, *shape, logit_paths, labels, costs)
+    return DatasetFiles(manifest.num_models, *shape, logit_paths, label_path, labels, costs)
 
 
 def load_dataset(manifest_path) -> EnsembleDataset:

@@ -15,17 +15,20 @@ stages left to right with one rounding per step, a fused multiply-add
 computed exactly in integers, and calls no BLAS kernel, so every R and E
 is the same on every CPU.
 
-report scores a CascadeRun, which holds the (N, M) stage tables.
-flexible_sweep, ensemble_size_sweep and margin_histogram do not build
-them: they add up each chunk's exit counts, wrong counts and histogram
-counts as cascade_engine._stage_chunks yields it, for every schedule of a
-sweep in the same pass. Counts add exactly, so their results equal the
-tabled route's. margin_histogram places margins among its edges by the
-function calibrate places them among its candidates by,
-cascade_engine._grid_codes, so a histogram bin and a calibration bin follow
-one rule. Every CSV is written atomically and a block of lines at a time
-(a histogram's 1024 bins, a sweep's one row), so writing one holds a block
-of text, whatever the file's length.
+report scores a CascadeRun, which holds the (N, M) stage tables. The sweeps
+and margin_histogram do not build them: they add up counts as
+cascade_engine._stage_chunks yields each chunk. Both sweeps take theirs from
+one tally, _sweep_counts, whose one pass counts each stage's wrong
+predictions and, for every schedule it is given, the exit counts and wrong
+count. flexible_sweep scores its schedules from it; ensemble_size_sweep
+scores row k from stage k's wrong count with every sample exiting there.
+Counts add exactly, so their results equal the tabled route's.
+margin_histogram places margins among its edges by the function calibrate
+places them among its candidates by, cascade_engine._grid_codes, so a
+histogram bin and a calibration bin follow one rule. Every CSV is written
+atomically and a block of lines at a time (a histogram's 1024 bins, a
+sweep's one row), so writing one holds a block of text, whatever the file's
+length.
 """
 
 from __future__ import annotations
@@ -210,23 +213,44 @@ def _row(config: str, rep: EvaluationReport) -> SweepRow:
     )
 
 
+def _sweep_counts(dataset: EnsembleDataset | DatasetFiles, schedules: Sequence[ThresholdSchedule]):
+    """The one stage pass of both sweeps: each schedule's (num_models,) exit
+    counts and its wrong count, and each stage's wrong count, every stage's
+    predictions compared with the labels once per chunk."""
+    num_models = dataset.num_models
+    exit_counts = np.zeros((len(schedules), num_models + 1), dtype=np.int64)
+    wrong = np.zeros(len(schedules), dtype=np.int64)
+    stage_wrong = np.zeros(num_models, dtype=np.int64)
+    for samples, margins, predictions in _stage_chunks(dataset, num_models):
+        missed = predictions != dataset.labels[samples]
+        stage_wrong += np.count_nonzero(missed, axis=1)
+        columns = np.arange(missed.shape[1])
+        for i, schedule in enumerate(schedules):
+            used = _models_used(margins, schedule.thresholds)
+            exit_counts[i] += np.bincount(used, minlength=num_models + 1)
+            wrong[i] += np.count_nonzero(missed[used - 1, columns])
+        # freed before the next chunk's kernel runs, which would otherwise raise the peak
+        del margins, predictions, missed
+    return exit_counts[:, 1:], wrong, stage_wrong
+
+
+def _sweep_rows(dataset, configs, exit_counts, wrong, full_wrong) -> list[SweepRow]:
+    """One SweepRow per config, scored by score_counts from its counts."""
+    cum_costs = _cumulative_costs(dataset.costs_ms, dataset.num_samples)
+    return [
+        _row(config, score_counts(dataset.num_samples, cum_costs, full_wrong, counts, wrong_i))
+        for config, counts, wrong_i in zip(configs, exit_counts, wrong)
+    ]
+
+
 def ensemble_size_sweep(dataset: EnsembleDataset | DatasetFiles) -> list[SweepRow]:
     """One row per truncated ensemble size k = 1..N under full (ungated) execution,
     scored as the run in which every sample stops after k models."""
-    num_models, num_samples = dataset.num_models, dataset.num_samples
-    wrong = np.zeros(num_models, dtype=np.int64)
-    for samples, margins, predictions in _stage_chunks(dataset, num_models):
-        wrong += np.count_nonzero(predictions != dataset.labels[samples], axis=1)
-        # freed before the next chunk's kernel runs, which would otherwise raise the peak
-        del margins, predictions
-    cum_costs = _cumulative_costs(dataset.costs_ms, num_samples)
-    rows = []
-    for k, wrong_k in enumerate(wrong.tolist(), start=1):
-        exit_counts = np.zeros(num_models, dtype=np.int64)
-        exit_counts[k - 1] = num_samples
-        rep = score_counts(num_samples, cum_costs, wrong[-1], exit_counts, wrong_k)
-        rows.append(_row(f"full_{k}", rep))
-    return rows
+    num_models = dataset.num_models
+    stage_wrong = _sweep_counts(dataset, [])[2]
+    exit_counts = np.diag(np.full(num_models, dataset.num_samples, dtype=np.int64))
+    configs = [f"full_{k}" for k in range(1, num_models + 1)]
+    return _sweep_rows(dataset, configs, exit_counts, stage_wrong, stage_wrong[-1])
 
 
 def flexible_sweep(
@@ -234,27 +258,10 @@ def flexible_sweep(
 ) -> list[SweepRow]:
     """One row per named schedule under gated execution, every schedule scored
     in one pass over the stages; each row equals report(dataset, run_dataset(...))."""
-    num_models, num_samples = dataset.num_models, dataset.num_samples
     for _, schedule in schedules:
-        schedule.validate_for(num_models)
-    exit_counts = np.zeros((len(schedules), num_models + 1), dtype=np.int64)
-    wrong = [0] * len(schedules)
-    full_wrong = 0
-    for samples, margins, predictions in _stage_chunks(dataset, num_models):
-        labels = dataset.labels[samples]
-        full_wrong += np.count_nonzero(predictions[-1] != labels)
-        columns = np.arange(labels.size)
-        for i, (_, schedule) in enumerate(schedules):
-            used = _models_used(margins, schedule.thresholds)
-            exit_counts[i] += np.bincount(used, minlength=num_models + 1)
-            wrong[i] += np.count_nonzero(predictions[used - 1, columns] != labels)
-        # freed before the next chunk's kernel runs, which would otherwise raise the peak
-        del margins, predictions
-    cum_costs = _cumulative_costs(dataset.costs_ms, num_samples)
-    return [
-        _row(config, score_counts(num_samples, cum_costs, full_wrong, counts[1:], wrong_i))
-        for (config, _), counts, wrong_i in zip(schedules, exit_counts, wrong)
-    ]
+        schedule.validate_for(dataset.num_models)
+    exit_counts, wrong, stage_wrong = _sweep_counts(dataset, [s for _, s in schedules])
+    return _sweep_rows(dataset, [c for c, _ in schedules], exit_counts, wrong, stage_wrong[-1])
 
 
 def _write_csv(path, header: str, blocks) -> None:

@@ -46,12 +46,13 @@ at a time:
   time: Box-Muller over the block's pairs, then float32 logits in chunks that
   never cross a model, as x *= sigma then x += base;
 - transcendentals: the definition's log1p, cos and sin are libm's, as math
-  calls them. A block takes numpy's, whose SIMD versions may differ from
-  libm's in a float64's last bits, and runs the same chain. Such a difference
-  can change a logit's float32 rounding only if its float64 value lies within
-  sigma * (|noise| * 2**-36 + radius * 2**-48) + |x| * 2**-48 of a float32
-  rounding midpoint; those values, about 0.04%, are made again through math
-  and the same chain, so every float32 is libm's. That bound holds while
+  calls them. One function, _box_muller, takes them as arguments and is the
+  only code that forms a radius and its two normals. A block passes numpy's,
+  whose SIMD versions may differ from libm's in a float64's last bits. Such a
+  difference can change a logit's float32 rounding only if its float64 value
+  lies within sigma * (|noise| * 2**-36 + radius * 2**-48) + |x| * 2**-48 of a
+  float32 rounding midpoint; those values, about 0.04%, are made again by
+  _box_muller with math's, so every float32 is libm's. That bound holds while
   numpy's log1p is within a relative 2**-38 of libm's and its cos and sin
   within an absolute 2**-50. Once per process a guard checks this on a fixed
   probe; if it fails, every value of that process comes from math.
@@ -359,11 +360,8 @@ def _normal_chunks(config, labels, signal, normals, done) -> Iterator[tuple[int,
     log1p, cos, sin = (np.log1p, np.cos, np.sin) if fast else _LIBM
     for first in range(0, normals.size, _BLOCK_VALUES):
         block = normals[first : first + _BLOCK_VALUES]  # each (u1, u2) pair becomes its two normals
-        # 1 - u1 is in (0, 1], so the radius is finite
         neg_u1, angle = -block[0::2], _TWO_PI * block[1::2]
-        radius = np.sqrt(-2.0 * log1p(neg_u1))
-        block[0::2] = radius * cos(angle)
-        block[1::2] = radius * sin(angle)
+        radius, block[0::2], block[1::2] = _box_muller(neg_u1, angle, log1p, cos, sin)
         if fast:  # the noise terms of the bound in the module docs; |x|'s follows the sums
             tol = np.abs(block)
             tol *= sigma * 2**-36
@@ -382,7 +380,9 @@ def _normal_chunks(config, labels, signal, normals, done) -> Iterator[tuple[int,
                     near = tol[at : at + x.size]
                     near += np.abs(x) * 2**-48
                     redo = _near_midpoint(x, near)
-                    x[redo] = _libm_normals(neg_u1, angle, at + redo) * sigma + base[redo]
+                    pair, sine = np.divmod(at + redo, 2)
+                    _, cosines, sines = _box_muller(neg_u1[pair], angle[pair], *_LIBM)
+                    x[redo] = np.where(sine, sines, cosines) * sigma + base[redo]
                 chunk = x.astype("<f4")
             bad = _nonfinite_at(chunk)
             if bad is not None:
@@ -390,6 +390,16 @@ def _normal_chunks(config, labels, signal, normals, done) -> Iterator[tuple[int,
             yield model, start, chunk
             at += x.size
             done += x.size
+
+
+def _box_muller(neg_u1, angle, log1p, cos, sin) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The radius sqrt(-2 * log1p(-u1)) of each pair (u1, u2), given -u1 and the
+    angle 2*pi*u2, and its two normals, radius * cos(angle) and radius * sin(angle):
+    the one Box-Muller chain, which a block runs with numpy's or libm's (_LIBM)
+    log1p, cos and sin, and the redo of its flagged values with libm's. 1 - u1 is
+    in (0, 1], so the radius is finite."""
+    radius = np.sqrt(-2.0 * log1p(neg_u1))
+    return radius, radius * cos(angle), radius * sin(angle)
 
 
 def _near_midpoint(x: np.ndarray, tol: np.ndarray) -> np.ndarray:
@@ -400,13 +410,6 @@ def _near_midpoint(x: np.ndarray, tol: np.ndarray) -> np.ndarray:
     low = (x - tol).astype(np.float32)
     tol += x
     return np.flatnonzero(low != tol.astype(np.float32))
-
-
-def _libm_normals(neg_u1: np.ndarray, angle: np.ndarray, at: np.ndarray) -> np.ndarray:
-    """The normals at block offsets `at`, made by math.log1p, math.cos and math.sin."""
-    pair = at // 2
-    radius = np.sqrt(-2.0 * _each(math.log1p, neg_u1[pair]))
-    return radius * np.where(at % 2, _each(math.sin, angle[pair]), _each(math.cos, angle[pair]))
 
 
 def _base(labels, signal, num_classes, start, size) -> np.ndarray:

@@ -435,6 +435,14 @@ def reference_stage_stats(logits64: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return margins, predictions
 
 
+def running_means(logits: np.ndarray) -> np.ndarray:
+    """The kernels' input as _stage_chunks forms it from (num_models, n, num_classes)
+    logits: float64 running sums over models, stage k's divided by k."""
+    prefix = np.cumsum(logits, axis=0, dtype=np.float64)
+    prefix[1:] /= np.arange(2, len(prefix) + 1, dtype=np.float64)[:, None, None]
+    return prefix
+
+
 def tied_logits(rng, num_models, num_samples, num_classes) -> np.ndarray:
     """Integer logits in [-2, 2], so most rows tie; every fifth sample has a top-two gap of 40."""
     logits = rng.integers(-2, 3, size=(num_models, num_samples, num_classes)).astype(np.float32)
@@ -539,7 +547,7 @@ class TestChunkedStageTables:
             logits[:, 1::5] += rng.normal(0, 4, logits[:, 1::5].shape).astype(np.float32)
             add_near_ties(logits, range(2, num_samples, 5))
             margins, predictions = reference_stage_stats(logits.astype(np.float64))
-            prefix = np.cumsum(logits, axis=0, dtype=np.float64)
+            prefix = running_means(logits)
             kernels = [_prefix_stage_stats(prefix.copy())]
             if num_classes <= 128:
                 kernels.append(
@@ -596,8 +604,7 @@ class TestChunkedStageTables:
             assert set(calls) == {kernel}
             # run_sample gives the row kernel's bytes
             logits = ds.logits[:, 0]
-            prefix = np.cumsum(logits[:, None, :], axis=0, dtype=np.float64)
-            margins, predictions = _prefix_stage_stats(prefix)
+            margins, predictions = _prefix_stage_stats(running_means(logits[:, None, :]))
             never_stop = ThresholdSchedule.uniform(1.0, ds.num_models)
             single = run_sample(logits, never_stop, ds.costs_ms)
             assert single.margins.tobytes() == margins[:, 0].tobytes()

@@ -383,6 +383,71 @@ class TestPipeline:
                      "--out", str(tmp_path / "r.csv")]) == 2
 
 
+def scoring_argv(command, data, schedule, out) -> list[str]:
+    extra = {
+        "baseline": [],
+        "calibrate": ["--grid-step", "0.25"],
+        "run": ["--schedule", str(schedule)],
+        "histogram": ["--ensemble-size", "1"],
+    }[command]
+    return [command, "--data", str(data), *extra, "--out", str(out)]
+
+
+class TestAnOutThatIsAnInput:
+    """An --out that is one of the command's input files would replace it, and
+    the next command to read it would fail; it is refused before any scoring."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        data = gen_dataset(tmp_path, "data")
+        schedule = tmp_path / "s.json"
+        schedule.write_text('{"version": 1, "thresholds": [0.5, 0.5]}')
+        return data, schedule
+
+    @pytest.mark.parametrize(
+        "command, kind",
+        [(command, kind)
+         for command in ["baseline", "calibrate", "run", "histogram"]
+         for kind in ["manifest", "logits", "labels", "schedule", "symlink", "hard_link"]
+         if kind != "schedule" or command == "run"],  # only run reads a schedule
+    )
+    def test_is_refused_before_scoring(self, tmp_path, capsys, monkeypatch, inputs, command, kind):
+        data, schedule = inputs
+        out = {
+            "manifest": data / MANIFEST_NAME,
+            "logits": data / "logits_001.ensl",
+            "labels": data / "labels.ensy",
+            "schedule": schedule,
+            "symlink": tmp_path / "link.csv",
+            "hard_link": tmp_path / "hard.csv",
+        }[kind]
+        if kind == "symlink":
+            out.symlink_to(data / "labels.ensy")
+        if kind == "hard_link":
+            os.link(data / "logits_000.ensl", out)
+        before = {path: path.read_bytes() for path in [schedule, *data.iterdir()]}
+
+        def never(*args, **kwargs):
+            raise AssertionError("scored before the --out check")
+
+        monkeypatch.setattr(dataset_io.DatasetFiles, "logit_chunks", never)
+        capsys.readouterr()
+        assert main(scoring_argv(command, data, schedule, out)) == 1
+        assert capsys.readouterr().err == f"error: --out {out} is one of the command's inputs\n"
+        assert {path: path.read_bytes() for path in before} == before
+        assert sorted(data.iterdir()) == sorted(p for p in before if p.parent == data)
+
+    @pytest.mark.parametrize("command", ["baseline", "calibrate", "run", "histogram"])
+    def test_a_new_file_in_the_data_directory_is_written(self, capsys, inputs, command):
+        data, schedule = inputs
+        out = data / "new.out"
+        assert main(scoring_argv(command, data, schedule, out)) == 0
+        assert out.stat().st_size > 0
+        assert main(["validate", "--data", str(data)]) == 0
+        # written over, the same file is still an output, not an input
+        assert main(scoring_argv(command, data, schedule, out)) == 0
+
+
 WIDE_MODELS, WIDE_SAMPLES, WIDE_CLASSES = 3, 150_000, 10
 
 

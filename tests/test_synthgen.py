@@ -594,3 +594,18 @@ class TestStatisticalShape:
         tables = stage_tables(seed42_dataset)
         correct = tables.predictions[0] == seed42_dataset.labels
         assert tables.margins[0][correct].mean() > tables.margins[0][~correct].mean()
+
+
+def test_box_muller_with_libm_is_the_definitions_chain():
+    # the one chain, run with math's functions, is the definition bit for bit,
+    # at u1 = 0 and next to 0 and 1, and at and beside the zeros of cos and sin
+    quarters = [0.25, 0.5, 0.75]
+    u2s = [v for q in quarters for v in (math.nextafter(q, 0.0), q, math.nextafter(q, 1.0))]
+    pairs = [(u1, u2) for u1 in (0.0, 2.0**-53, 1.0 - 2.0**-53) for u2 in u2s]
+    neg_u1 = np.array([-u1 for u1, _ in pairs])
+    angle = np.array([2 * math.pi * u2 for _, u2 in pairs])
+    _, cosines, sines = synthgen._box_muller(neg_u1, angle, *synthgen._LIBM)
+    for (u1, u2), cosine, sine in zip(pairs, cosines.tolist(), sines.tolist()):
+        radius = math.sqrt(-2 * math.log1p(-u1))
+        assert cosine.hex() == (radius * math.cos(2 * math.pi * u2)).hex()
+        assert sine.hex() == (radius * math.sin(2 * math.pi * u2)).hex()
