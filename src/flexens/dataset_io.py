@@ -585,9 +585,9 @@ def load_dataset(manifest_path) -> EnsembleDataset:
 
 def _read_csv(path: Path, parse, width: int | None = None, num_rows: int | None = None):
     """The (rows, width) cells of a headerless CSV file, each parsed by `parse`
-    (float or int) into a float64 or int64 array; width None takes the first
-    row's. The row count is checked against num_rows, when given, before any
-    cell is parsed."""
+    (float or int) into a float64 or int64 array; a cell that holds "_" or a
+    non-ASCII character is refused. width None takes the first row's. The row
+    count is checked against num_rows, when given, before any cell is parsed."""
     lines = path.read_text(encoding="utf-8").split("\n")
     if lines[-1] == "":
         lines.pop()  # trailing newline, not an empty row
@@ -602,7 +602,9 @@ def _read_csv(path: Path, parse, width: int | None = None, num_rows: int | None 
         if len(row) != width:
             raise RaggedRowsError(str(path), r, width, len(row))
         for col, cell in enumerate(row):
-            try:
+            try:  # float and int also take digit-group underscores and non-ASCII digits
+                if "_" in cell or not cell.isascii():
+                    raise ValueError(cell)
                 cells[r, col] = parse(cell)
             except (ValueError, OverflowError) as exc:  # an int beyond int64 overflows
                 what = "a real number" if parse is float else "an integer"
@@ -613,11 +615,12 @@ def _read_csv(path: Path, parse, width: int | None = None, num_rows: int | None 
 def import_csv(logits_csvs: Sequence, labels_csv, costs_ms) -> EnsembleDataset:
     """Build a dataset from per-model logit CSVs plus a label CSV.
 
-    Files have no header row; logit cells are parsed as decimal reals and
-    stored at the canonical 32-bit precision. The first cell in (model,
-    sample, class) order that is not finite or whose magnitude exceeds the
-    float32 maximum, before rounding, is rejected as non-finite. All logit
-    files must agree on their row and column counts.
+    Files have no header row; logit cells are parsed as ASCII decimal reals,
+    without digit-group underscores, and stored at the canonical 32-bit
+    precision. The first cell in (model, sample, class) order that is not
+    finite or whose magnitude exceeds the float32 maximum, before rounding,
+    is rejected as non-finite. All logit files must agree on their row and
+    column counts.
     """
     if len(logits_csvs) == 0:
         raise DimensionMismatchError("need at least one logits CSV")

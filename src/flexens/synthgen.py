@@ -55,7 +55,10 @@ at a time:
   _box_muller with math's, so every float32 is libm's. That bound holds while
   numpy's log1p is within a relative 2**-38 of libm's and its cos and sin
   within an absolute 2**-50. Once per process a guard checks this on a fixed
-  probe; if it fails, every value of that process comes from math.
+  probe; if it fails, every block of that process passes math's instead. The
+  block path is the same either way: the check flags the same kind of values
+  and the redo makes them again with math's, which on math's own values
+  changes nothing.
 
 save_generated streams the chunks into the payload files, so gen holds 12
 bytes per sample ('<u4' labels, written as they are, and float64 signals),
@@ -262,7 +265,7 @@ def _numpy_within_bounds() -> bool:
     """Whether numpy's log1p, cos and sin keep to the bounds the float32 check in
     _normal_chunks assumes of them, a relative 2**-38 and an absolute 2**-50 of
     libm's, on a fixed probe. Checked once per process; if they do not, every block
-    takes libm's values."""
+    passes libm's to _box_muller instead, and is checked and redone as before."""
     quarters = np.array([0.25, 0.5, 0.75])  # u2 at and beside the zeros of cos and sin
     u = np.concatenate([
         np.fromiter(iter(Xoshiro256PlusPlus(0).next_float, None), np.float64, count=2048),
@@ -356,16 +359,16 @@ def _normal_chunks(config, labels, signal, normals, done) -> Iterator[tuple[int,
     `done`, `done` + 1, ... of the stream."""
     c, sigma = config.num_classes, config.noise_sigma
     per_model = config.num_samples * c
-    fast = _numpy_within_bounds()
-    log1p, cos, sin = (np.log1p, np.cos, np.sin) if fast else _LIBM
+    # the guard only picks the block's log1p, cos and sin; every block is checked and redone
+    log1p, cos, sin = (np.log1p, np.cos, np.sin) if _numpy_within_bounds() else _LIBM
     for first in range(0, normals.size, _BLOCK_VALUES):
         block = normals[first : first + _BLOCK_VALUES]  # each (u1, u2) pair becomes its two normals
         neg_u1, angle = -block[0::2], _TWO_PI * block[1::2]
         radius, block[0::2], block[1::2] = _box_muller(neg_u1, angle, log1p, cos, sin)
-        if fast:  # the noise terms of the bound in the module docs; |x|'s follows the sums
-            tol = np.abs(block)
-            tol *= sigma * 2**-36
-            tol.reshape(-1, 2)[:] += (radius * (sigma * 2**-48))[:, np.newaxis]  # both of a pair
+        # the noise terms of the bound in the module docs; |x|'s follows the sums
+        tol = np.abs(block)
+        tol *= sigma * 2**-36
+        tol.reshape(-1, 2)[:] += (radius * (sigma * 2**-48))[:, np.newaxis]  # both of a pair
         at = 0
         # a pair may straddle two models; an odd count's last sine is discarded
         while at < block.size and done < config.num_models * per_model:
@@ -376,13 +379,12 @@ def _normal_chunks(config, labels, signal, normals, done) -> Iterator[tuple[int,
                 x *= sigma
                 base = _base(labels, signal, c, start, x.size)
                 x += base
-                if fast:
-                    near = tol[at : at + x.size]
-                    near += np.abs(x) * 2**-48
-                    redo = _near_midpoint(x, near)
-                    pair, sine = np.divmod(at + redo, 2)
-                    _, cosines, sines = _box_muller(neg_u1[pair], angle[pair], *_LIBM)
-                    x[redo] = np.where(sine, sines, cosines) * sigma + base[redo]
+                near = tol[at : at + x.size]
+                near += np.abs(x) * 2**-48
+                redo = _near_midpoint(x, near)
+                pair, sine = np.divmod(at + redo, 2)
+                _, cosines, sines = _box_muller(neg_u1[pair], angle[pair], *_LIBM)
+                x[redo] = np.where(sine, sines, cosines) * sigma + base[redo]
                 chunk = x.astype("<f4")
             bad = _nonfinite_at(chunk)
             if bad is not None:

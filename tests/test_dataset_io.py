@@ -879,6 +879,34 @@ class TestCsvImport:
             import_csv([logits], labels, [1.0])
         assert (exc.value.row, exc.value.column) == (1, 0)
 
+    @pytest.mark.parametrize(
+        "cell", ["1_0", "1_000", "\u0661.5", "\uff11"],
+        ids=["underscore_label", "underscore_logit", "arabic_indic", "fullwidth"],
+    )
+    @pytest.mark.parametrize("in_labels", [False, True], ids=["logit_file", "label_file"])
+    def test_underscores_and_non_ascii_digits_are_refused(self, tmp_path, cell, in_labels):
+        # float and int read each of these as a number: 10, 1000.0, 1.5 and 1
+        logits = tmp_path / "m0.csv"
+        logits.write_text("0,0\n" + ("0,0" if in_labels else f"0,{cell}") + "\n", encoding="utf-8")
+        labels = tmp_path / "y.csv"
+        labels.write_text("0\n" + (cell if in_labels else "1") + "\n", encoding="utf-8")
+        path, at, what = (
+            (labels, (1, 0), "an integer") if in_labels else (logits, (1, 1), "a real number")
+        )
+        message = f"{path}: row {at[0]}, column {at[1]}: cannot parse {cell!r} as {what}"
+        with pytest.raises(CsvParseError, match=f"^{re.escape(message)}$") as exc:
+            import_csv([logits], labels, [1.0])
+        assert (exc.value.row, exc.value.column) == at
+
+    def test_surrounding_ascii_whitespace_is_accepted(self, tmp_path):
+        logits = tmp_path / "m0.csv"
+        logits.write_text(" 1.5,\t-2 \n0,0\n")
+        labels = tmp_path / "y.csv"
+        labels.write_text(" 1\n0 \n")
+        ds = import_csv([logits], labels, [1.0])
+        np.testing.assert_array_equal(ds.logits[0], [[1.5, -2.0], [0.0, 0.0]])
+        np.testing.assert_array_equal(ds.labels, [1, 0])
+
     def test_nan_cell_rejected_with_coordinates(self, tmp_path):
         logits = tmp_path / "m0.csv"
         logits.write_text("0,nan\n")

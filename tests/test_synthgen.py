@@ -355,6 +355,20 @@ def scaled_log1p(scale: float):
 
 
 @pytest.fixture
+def checked(monkeypatch):
+    """The sizes of the chunks _near_midpoint checks, as it is called."""
+    sizes = []
+    near_midpoint = synthgen._near_midpoint
+
+    def spy(x, tol):
+        sizes.append(x.size)
+        return near_midpoint(x, tol)
+
+    monkeypatch.setattr(synthgen, "_near_midpoint", spy)
+    return sizes
+
+
+@pytest.fixture
 def fresh_guard():
     """The numpy-against-libm guard, checked again in the test and after it."""
     synthgen._numpy_within_bounds.cache_clear()
@@ -363,22 +377,14 @@ def fresh_guard():
 
 
 class TestFastTranscendentals:
-    """numpy's log1p, cos and sin, with the values a float32 cast could tell from
-    libm's made again by libm, or libm for every value if numpy fails the guard."""
+    """numpy's log1p, cos and sin, or libm's if numpy fails the guard, with the
+    values a float32 cast could tell from libm's made again by libm."""
 
     @pytest.mark.parametrize("n,m,c,seed", list(PINNED_GENERATE))
     def test_log1p_within_the_tolerance_is_mended_by_the_recompute(
-        self, monkeypatch, fresh_guard, n, m, c, seed
+        self, monkeypatch, fresh_guard, checked, n, m, c, seed
     ):
         monkeypatch.setattr(np, "log1p", scaled_log1p(1e-12))
-        checked = []
-        near_midpoint = synthgen._near_midpoint
-
-        def spy(x, tol):
-            checked.append(x.size)
-            return near_midpoint(x, tol)
-
-        monkeypatch.setattr(synthgen, "_near_midpoint", spy)
         assert digest(generate(SynthConfig(n, m, c, seed))) == PINNED_GENERATE[(n, m, c, seed)]
         assert fresh_guard() and sum(checked) == n * m * c  # every value took the fast path
 
@@ -390,12 +396,22 @@ class TestFastTranscendentals:
         assert digest(generate(SynthConfig(*key))) != PINNED_GENERATE[key]
 
     @pytest.mark.parametrize("n,m,c,seed", list(PINNED_GENERATE))
-    def test_log1p_beyond_the_bound_trips_the_guard(self, monkeypatch, fresh_guard, n, m, c, seed):
+    def test_log1p_beyond_the_bound_trips_the_guard(
+        self, monkeypatch, fresh_guard, checked, n, m, c, seed
+    ):
         monkeypatch.setattr(np, "log1p", scaled_log1p(1e-8))
-        checked = []
-        monkeypatch.setattr(synthgen, "_near_midpoint", lambda x, tol: checked.append(x))
         assert digest(generate(SynthConfig(n, m, c, seed))) == PINNED_GENERATE[(n, m, c, seed)]
-        assert not fresh_guard() and not checked  # every value came from libm
+        # libm's values, checked and redone on the one block path all the same
+        assert not fresh_guard() and sum(checked) == n * m * c
+
+    def test_the_libm_redo_of_libm_values_moves_nothing(self, monkeypatch, fresh_guard):
+        # with the guard tripped every value is libm's, so redoing all of them with
+        # libm must give the same bytes
+        monkeypatch.setattr(np, "log1p", scaled_log1p(1e-8))
+        monkeypatch.setattr(synthgen, "_near_midpoint", lambda x, tol: np.arange(x.size))
+        key = (7, 10000, 10, 42)
+        assert digest(generate(SynthConfig(*key))) == PINNED_GENERATE[key]
+        assert not fresh_guard()
 
     @pytest.mark.parametrize("func", ["cos", "sin"])
     def test_trig_beyond_the_bound_trips_the_guard(self, monkeypatch, fresh_guard, func):
